@@ -102,12 +102,16 @@ FleetRun run_fleet(const FleetConfig& cfg, unsigned threads) {
   nb.threads(threads);
   net::Network net = nb.build();
   FleetRun r;
+  // One fingerprint per bus (single writer: the bus's own shard worker),
+  // summed after the run.
+  std::vector<std::uint64_t> per_bus(net.bus_count(), 0);
   for (std::size_t b = 0; b < net.bus_count(); ++b) {
     const auto id = static_cast<net::BusId>(b);
     const can::NodeId probe = net.bus(id).attach_node("probe");
-    net.bus(id).subscribe(probe, [&r](const can::CanFrame& f, SimTime at) {
-      r.fingerprint += (static_cast<std::uint64_t>(f.id) + 1) *
-                       static_cast<std::uint64_t>(at);
+    net.bus(id).subscribe(probe, [fp = &per_bus[b]](const can::CanFrame& f,
+                                                    SimTime at) {
+      *fp += (static_cast<std::uint64_t>(f.id) + 1) *
+             static_cast<std::uint64_t>(at);
     });
   }
   const auto start = std::chrono::steady_clock::now();
@@ -115,6 +119,9 @@ FleetRun run_fleet(const FleetConfig& cfg, unsigned threads) {
   r.wall_seconds = std::chrono::duration<double>(
                        std::chrono::steady_clock::now() - start)
                        .count();
+  for (const std::uint64_t fp : per_bus) {
+    r.fingerprint += fp;
+  }
   r.events = net.simulation().events_executed();
   r.shards = net.shard_count();
   return r;

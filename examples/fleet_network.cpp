@@ -20,6 +20,7 @@
 //   $ ./examples/fleet_network
 #include <cstdio>
 #include <cstdint>
+#include <vector>
 
 #include "net/network.h"
 #include "support/check.h"
@@ -106,17 +107,29 @@ struct FleetResult {
 
 FleetResult run_fleet(net::NetworkBuilder nb) {
   net::Network net = nb.build();
-  FleetResult r;
+  // One tally per bus: a bus's subscribers run on its own shard's worker,
+  // so each tally has a single writer; they are summed after the run.
+  struct BusTally {
+    std::uint64_t frames = 0;
+    std::uint64_t hash = 0;
+  };
+  std::vector<BusTally> tallies(net.bus_count());
   for (std::size_t b = 0; b < net.bus_count(); ++b) {
     const auto id = static_cast<net::BusId>(b);
     const can::NodeId probe = net.bus(id).attach_node("probe");
-    net.bus(id).subscribe(probe, [&r](const can::CanFrame& f, SimTime at) {
-      ++r.frames;
-      r.delivery_hash += (static_cast<std::uint64_t>(f.id) + 1) *
-                         static_cast<std::uint64_t>(at);
+    net.bus(id).subscribe(probe, [t = &tallies[b]](const can::CanFrame& f,
+                                                   SimTime at) {
+      ++t->frames;
+      t->hash += (static_cast<std::uint64_t>(f.id) + 1) *
+                 static_cast<std::uint64_t>(at);
     });
   }
   net.run_until(kHorizon);
+  FleetResult r;
+  for (const BusTally& t : tallies) {
+    r.frames += t.frames;
+    r.delivery_hash += t.hash;
+  }
   for (std::size_t g = 0; g < net.gateway_count(); ++g) {
     const auto st = net.gateway(static_cast<net::GatewayId>(g)).stats();
     r.forwarded += st.frames_forwarded;

@@ -155,10 +155,10 @@ VariantResult CampaignRunner::run_variant(const ScenarioSpec& spec,
   try {
     net::NetworkBuilder nb = spec.topology(v);
     net::Network net = nb.build();
-    // The campaign's budget owns thread placement: each variant runs its
-    // shard fan-out on exactly variant_threads threads, whatever the
-    // topology requested (thread count never changes results).
-    net.simulation().set_threads(std::max(1u, config_.variant_threads));
+    // Parallelism lives across variants: each variant runs its shards on
+    // one thread, whatever the topology requested (thread count never
+    // changes results).
+    net.simulation().set_threads(1);
 
     // Per-bus fault campaigns: one Pcg32 stream per plan, derived from the
     // variant seed, and the matching analysis hypothesis keyed by bus tag.
@@ -400,22 +400,9 @@ CampaignResult CampaignRunner::run(const ScenarioSpec& spec) const {
   out.axes = spec.axes;
   out.variants.resize(variants.size());
 
-  // Worker-pool sizing under the total thread budget: each in-flight
-  // variant spends variant_threads threads on its shard fan-out, so the
-  // pool is workers x variant_threads wide. An explicit workers request
-  // is honored (clamped only by an explicit budget); the default pool is
-  // sized so the product stays within the budget (or the machine).
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  const unsigned per_variant = std::max(1u, config_.variant_threads);
-  unsigned workers = config_.workers;
-  if (workers == 0) {
-    const unsigned budget =
-        config_.thread_budget != 0 ? config_.thread_budget : hw;
-    workers = std::min(hw, std::max(1u, budget / per_variant));
-  } else if (config_.thread_budget != 0) {
-    workers =
-        std::min(workers, std::max(1u, config_.thread_budget / per_variant));
-  }
+  unsigned workers = config_.workers != 0
+                         ? config_.workers
+                         : std::max(1u, std::thread::hardware_concurrency());
   workers = static_cast<unsigned>(
       std::min<std::size_t>(workers, variants.size()));
   out.workers = workers;

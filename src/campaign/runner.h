@@ -148,19 +148,11 @@ struct CampaignResult {
 class CampaignRunner {
  public:
   struct Config {
-    unsigned workers = 0;  // 0 = std::thread::hardware_concurrency()
-    // Total thread budget shared by the whole campaign: the pool is sized
-    // so that workers x variant_threads never exceeds it. A sharded
-    // topology spends variant_threads threads per in-flight variant
-    // (net::NetworkBuilder::threads is overridden with this value), so
-    // the budget keeps campaign fan-out and per-variant shard fan-out
-    // from oversubscribing the machine together. 0 sizes the *default*
-    // pool from hardware concurrency without clamping an explicit
-    // workers request; a non-zero budget clamps both. Neither knob ever
-    // changes results — the deterministic report is byte-identical
-    // across every budget choice.
-    unsigned thread_budget = 0;
-    unsigned variant_threads = 1;  // shard threads per variant (>= 1)
+    // Variants run in parallel, one per worker; each variant runs on a
+    // single shard thread. 0 = std::thread::hardware_concurrency().
+    // Never changes results: the deterministic report is byte-identical
+    // across worker counts.
+    unsigned workers = 0;
     // Histogram geometry shared by every variant (merging requires it).
     unsigned hist_bins = 64;
     sim::SimTime hist_max = 50 * sim::kMillisecond;

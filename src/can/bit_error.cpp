@@ -31,13 +31,14 @@ CanBus::BitErrorModel make_seeded_error_model(
     if (!st->rng.chance(p)) {
       return -1;
     }
-    const auto bits = static_cast<std::uint32_t>(exact_wire_bits(frame));
-    const int bit = static_cast<int>(st->rng.below(bits));
-    // The chosen bit lands at a known wire time; if it would violate the
-    // spacing hypothesis, skip this attempt (keeps E(t) sound without
-    // biasing the bit distribution).
+    const CanBus::AttemptTiming timing = bus.attempt_timing(frame);
+    const int bit = static_cast<int>(st->rng.below(timing.bits));
+    // The chosen bit lands at a known wire time (the bus's own per-phase
+    // pricing, so FD data-phase bits are placed at the data rate); if it
+    // would violate the spacing hypothesis, skip this attempt (keeps E(t)
+    // sound without biasing the bit distribution).
     const sim::SimTime instant =
-        start + (static_cast<sim::SimTime>(bit) + 1) * bus.bit_time();
+        start + timing.prefix(static_cast<unsigned>(bit) + 1);
     if (st->armed && instant < st->last_error + gap) {
       return -1;
     }

@@ -43,8 +43,9 @@ struct SeededErrorCampaign {
 };
 
 // Builds a CanBus::BitErrorModel implementing `campaign` against `bus`'s
-// bit time. The bus reference is only used for timing arithmetic and must
-// outlive the returned callable.
+// wire timing (CanBus::attempt_timing: classic and CAN FD frames alike).
+// The bus reference is only used for timing arithmetic and must outlive
+// the returned callable.
 [[nodiscard]] CanBus::BitErrorModel make_seeded_error_model(
     const CanBus& bus, const SeededErrorCampaign& campaign);
 

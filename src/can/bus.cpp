@@ -67,6 +67,22 @@ void CanBus::set_bit_error_model(BitErrorModel model) {
   error_model_ = std::move(model);
 }
 
+CanBus::AttemptTiming CanBus::attempt_timing(const CanFrame& f) const {
+  AttemptTiming t;
+  t.bit_time = bit_time_;
+  t.data_bit_time = data_phase_bit_time(f);
+  if (!f.fd) {
+    t.bits = exact_wire_bits(f);
+    t.head = t.bits;
+    return t;
+  }
+  const FdWireBits w = fd_exact_wire_bits(f);
+  t.bits = w.nominal_bits + w.data_bits;
+  t.head = w.nominal_bits - 13;  // the 13-bit tail is back at nominal rate
+  t.data_bits = w.data_bits;
+  return t;
+}
+
 ErrorState CanBus::state_of(const Node& n) const {
   if (n.bus_off) {
     return ErrorState::bus_off;
@@ -276,45 +292,16 @@ void CanBus::try_start() {
     ++fault_stats_.retransmissions;  // a previously-corrupted frame retries
   }
   ++pending.attempts;
-  // Wire geometry of this attempt. For FD frames the phase split prices
-  // the ESI+DLC+data+CRC span at the data bit rate (when BRS is set);
-  // classic frames run entirely at the nominal rate.
-  const bool fd = pending.frame.fd;
-  FdWireBits fw;
-  unsigned wire_bits = 0;
-  if (fd) {
-    fw = fd_exact_wire_bits(pending.frame);
-    wire_bits = fw.nominal_bits + fw.data_bits;
-  } else {
-    wire_bits = exact_wire_bits(pending.frame);
-  }
-  const SimTime data_bit = data_phase_bit_time(pending.frame);
-  // Duration of the first `bits` wire bits of this attempt. The FD data
-  // phase sits between the stuffed head (nominal_bits - 13 bits) and the
-  // 13-bit tail, both at the nominal rate.
-  const auto prefix_time = [&](unsigned bits) -> SimTime {
-    if (!fd) {
-      return bit_time_ * bits;
-    }
-    const unsigned head = fw.nominal_bits - 13;
-    if (bits <= head) {
-      return bit_time_ * bits;
-    }
-    if (bits <= head + fw.data_bits) {
-      return bit_time_ * head + data_bit * (bits - head);
-    }
-    return bit_time_ * head + data_bit * fw.data_bits +
-           bit_time_ * (bits - head - fw.data_bits);
-  };
+  const AttemptTiming timing = attempt_timing(pending.frame);
   busy_ = true;
   tx_started_at_ = queue_.now();
   int corrupt = -1;
   if (error_model_) {
     corrupt = error_model_(pending.frame, winner, queue_.now());
-    corrupt = std::min(corrupt, static_cast<int>(wire_bits) - 1);
+    corrupt = std::min(corrupt, static_cast<int>(timing.bits) - 1);
   }
   if (corrupt < 0) {
-    const SimTime duration = prefix_time(wire_bits);
+    const SimTime duration = timing.prefix(timing.bits);
     queue_.schedule_in(duration, [this, pending, winner, duration] {
       finish_clean(winner, pending, duration);
     });
@@ -329,8 +316,9 @@ void CanBus::try_start() {
     const unsigned signal_bits = kErrorFlagBits + kErrorDelimiterBits +
                                  kIntermissionBits +
                                  (passive ? kSuspendTransmissionBits : 0);
-    const SimTime duration = prefix_time(static_cast<unsigned>(corrupt) + 1) +
-                             bit_time_ * signal_bits;
+    const SimTime duration =
+        timing.prefix(static_cast<unsigned>(corrupt) + 1) +
+        bit_time_ * signal_bits;
     const std::uint32_t id = pending.frame.id;
     const std::uint32_t key = arbitration_key(pending.frame);
     auto it = node.queue.begin();

@@ -190,12 +190,35 @@ class CanBus {
   // Data-phase bit time for BRS frames; 0 on a classic-only bus.
   [[nodiscard]] sim::SimTime data_bit_time() const { return data_bit_time_; }
   [[nodiscard]] bool fd_enabled() const { return data_bit_time_ > 0; }
-  [[nodiscard]] sim::SimTime frame_time(const CanFrame& f) const {
-    if (!f.fd) {
-      return bit_time_ * exact_wire_bits(f);
+  // Wire geometry of one transmission attempt of a frame: its exact bit
+  // count and the time its first n bits take. Classic frames run at the
+  // nominal bit time throughout; an FD frame's data phase (between the
+  // stuffed head and the 13-bit ACK/EOF tail, per fd_exact_wire_bits'
+  // phase split) runs at data_phase_bit_time. The bus prices clean and
+  // corrupted attempts with it, and seeded error models place their error
+  // instants with it.
+  struct AttemptTiming {
+    unsigned bits = 0;       // the whole attempt
+    unsigned head = 0;       // nominal-rate bits before the data phase
+    unsigned data_bits = 0;  // data-phase bits (0 for classic frames)
+    sim::SimTime bit_time = 0;
+    sim::SimTime data_bit_time = 0;
+
+    [[nodiscard]] sim::SimTime prefix(unsigned n) const {
+      if (n <= head) {
+        return bit_time * n;
+      }
+      if (n <= head + data_bits) {
+        return bit_time * head + data_bit_time * (n - head);
+      }
+      return bit_time * head + data_bit_time * data_bits +
+             bit_time * (n - head - data_bits);
     }
-    const FdWireBits w = fd_exact_wire_bits(f);
-    return bit_time_ * w.nominal_bits + data_phase_bit_time(f) * w.data_bits;
+  };
+  [[nodiscard]] AttemptTiming attempt_timing(const CanFrame& f) const;
+  [[nodiscard]] sim::SimTime frame_time(const CanFrame& f) const {
+    const AttemptTiming t = attempt_timing(f);
+    return t.prefix(t.bits);
   }
 
   // Keyed by raw identifier (standard and extended identifiers share the

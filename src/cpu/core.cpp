@@ -7,17 +7,16 @@
 #include "cpu/fpb.h"
 #include "cpu/hostmem.h"
 #include "cpu/intc.h"
+#include "cpu/semantics.h"
 #include "support/bits.h"
 #include "support/check.h"
 
 namespace aces::cpu {
 
-using isa::AddrMode;
 using isa::Cond;
 using isa::Instruction;
 using isa::Op;
 using isa::SetFlags;
-using support::bits;
 using support::sign_extend;
 
 using hostmem::load_le;
@@ -27,11 +26,12 @@ using hostmem::store_le;
 Core::Core(CoreConfig config, mem::MemPort& ifetch, mem::MemPort& data)
     : config_(config),
       codec_(isa::codec_for(config.encoding)),
+      fetch_unit_(config.encoding == isa::Encoding::w32 ? 4 : 2),
       ifetch_(ifetch),
       data_(data) {
   privileged_ = config_.privileged;
   if (config_.decode_cache_lines != 0) {
-    const unsigned pc_shift = config_.encoding == isa::Encoding::w32 ? 2u : 1u;
+    const unsigned pc_shift = fetch_unit_ / 2;  // log2 of the unit
     dcache_.emplace(config_.decode_cache_lines, pc_shift);
     if (config_.dispatch_tier == DispatchTier::superblock) {
       sbcache_.emplace(config_.decode_cache_lines, pc_shift);
@@ -40,7 +40,6 @@ Core::Core(CoreConfig config, mem::MemPort& ifetch, mem::MemPort& data)
   code_snoop_.wire(dcache_ ? &*dcache_ : nullptr,
                    sbcache_ ? &*sbcache_ : nullptr);
   data_spans_ok_ = data_.offers_direct_spans();
-  ifetch_spans_ok_ = ifetch_.offers_direct_spans();
 }
 
 void Core::reset(std::uint32_t entry_pc, std::uint32_t initial_sp) {
@@ -264,93 +263,99 @@ std::uint32_t Core::div_cycles(std::uint32_t dividend) const {
 
 // ----- fetch ---------------------------------------------------------------------
 
-bool Core::fetch_decode(std::uint32_t addr, Decoded* out,
-                        std::uint32_t* fetch_cycles, FetchReplay* replay) {
-  // Flash-patch lookup bypasses memory (served from patch RAM in 1 cycle).
-  if (fpb_ != nullptr) {
-    if (const auto patch = fpb_->lookup(addr)) {
-      if (patch->breakpoint) {
-        halt(HaltReason::breakpoint);
-        return false;
+bool Core::fetch(std::uint32_t pc, FetchMode mode, Decoded* out,
+                 std::uint32_t* cycles, FetchReplay* replay) {
+  const bool probe = mode == FetchMode::probe;
+  *cycles = 0;
+  if (mode != FetchMode::replay) {
+    // Flash-patch lookup bypasses memory (served from patch RAM in 1 cycle).
+    if (fpb_ != nullptr) {
+      if (const auto patch = fpb_->lookup(pc)) {
+        if (patch->breakpoint) {
+          if (!probe) {
+            halt(HaltReason::breakpoint);
+          }
+          return false;
+        }
+        out->insn = patch->replacement;
+        out->size = patch->replacement_size;
+        *cycles = 1;
+        *replay = FetchReplay::fixed;
+        return true;
       }
-      out->insn = patch->replacement;
-      out->size = patch->replacement_size;
-      *fetch_cycles = 1;
-      *replay = FetchReplay::fixed;
-      return true;
     }
-  }
-
-  const unsigned unit = config_.encoding == isa::Encoding::w32 ? 4 : 2;
-  if (mpu_ != nullptr &&
-      mpu_->check(addr, unit, mem::Access::fetch, privileged_) !=
-          mem::Fault::none) {
-    do_fault(mem::Fault::mpu_violation, addr, mem::Access::fetch);
-    return false;
-  }
-  std::uint8_t buf[4] = {0, 0, 0, 0};
-  const mem::MemResult first =
-      ifetch_.read(addr, unit, mem::Access::fetch, cycles_);
-  *fetch_cycles = first.cycles;
-  if (!first.ok()) {
-    do_fault(first.fault, addr, mem::Access::fetch);
-    return false;
-  }
-  for (unsigned k = 0; k < unit; ++k) {
-    buf[k] = static_cast<std::uint8_t>(first.value >> (8 * k));
-  }
-
-  *replay = FetchReplay::one_read;
-  int n = codec_.decode(std::span<const std::uint8_t>(buf, unit), *&out->insn);
-  if (n == 0 && unit == 2) {
-    // Possibly the first half of a 32-bit instruction: fetch the second
-    // halfword (sequential, so the streamer prices it kindly).
-    const mem::MemResult second =
-        ifetch_.read(addr + 2, 2, mem::Access::fetch, cycles_ + *fetch_cycles);
-    *fetch_cycles += second.cycles;
-    if (!second.ok()) {
-      do_fault(second.fault, addr + 2, mem::Access::fetch);
+    if (mpu_ != nullptr &&
+        mpu_->check(pc, fetch_unit_, mem::Access::fetch, privileged_) !=
+            mem::Fault::none) {
+      if (!probe) {
+        do_fault(mem::Fault::mpu_violation, pc, mem::Access::fetch);
+      }
       return false;
     }
-    buf[2] = static_cast<std::uint8_t>(second.value);
-    buf[3] = static_cast<std::uint8_t>(second.value >> 8);
+  }
+  // The state-free price of the reads so far (SRAM; flash in its 1-cycle or
+  // prefetch-off regimes), asked before each read; nullopt once any read's
+  // cost depends on device state. Only worth asking when the answer can be
+  // cached.
+  std::optional<std::uint32_t> price;
+  if (probe || (mode == FetchMode::run && dcache_)) {
+    price = 0;
+  }
+  std::uint8_t buf[4] = {0, 0, 0, 0};
+  const auto read = [&](unsigned offset, unsigned size) {
+    const std::uint32_t addr = pc + offset;
+    if (price) {
+      const std::optional<std::uint32_t> cost =
+          ifetch_.fixed_fetch_cost(addr, size);
+      price = cost ? std::optional<std::uint32_t>(*price + *cost)
+                   : std::nullopt;
+    }
+    if (probe && !price) {
+      return false;
+    }
+    const mem::MemResult r =
+        ifetch_.read(addr, size, mem::Access::fetch, cycles_ + *cycles);
+    *cycles += r.cycles;
+    if (!r.ok()) {
+      if (!probe) {
+        do_fault(r.fault, addr, mem::Access::fetch);
+      }
+      return false;
+    }
+    for (unsigned k = 0; k < size; ++k) {
+      buf[offset + k] = static_cast<std::uint8_t>(r.value >> (8 * k));
+    }
+    return true;
+  };
+
+  if (!read(0, fetch_unit_)) {
+    return false;
+  }
+  if (mode == FetchMode::replay) {
+    return *replay != FetchReplay::two_read || read(2, 2);
+  }
+  *replay = FetchReplay::one_read;
+  int n = codec_.decode(std::span<const std::uint8_t>(buf, fetch_unit_),
+                        out->insn);
+  if (n == 0 && fetch_unit_ == 2) {
+    // Possibly the first half of a 32-bit instruction: fetch the second
+    // halfword (sequential, so the streamer prices it kindly).
+    if (!read(2, 2)) {
+      return false;
+    }
     n = codec_.decode(std::span<const std::uint8_t>(buf, 4), out->insn);
     *replay = FetchReplay::two_read;
   }
-  if (n == 0) {
-    halt(HaltReason::invalid_insn);
+  if (n == 0 || (probe && *price != *cycles)) {
+    if (!probe) {
+      halt(HaltReason::invalid_insn);
+    }
     return false;
+  }
+  if (price && *price == *cycles) {
+    *replay = FetchReplay::fixed;
   }
   out->size = n;
-  return true;
-}
-
-bool Core::replay_fetch(const DecodeCache::Line& line,
-                        std::uint32_t* fetch_cycles) {
-  if (line.replay == FetchReplay::fixed) {
-    *fetch_cycles = line.fixed_cycles;
-    return true;
-  }
-  // Re-issue the fetch reads so stateful timing models (flash streamer,
-  // I-cache LRU/fills, TCM hold-and-repair) and their statistics advance
-  // exactly as an uncached fetch would; only the decode work is skipped.
-  const unsigned unit = config_.encoding == isa::Encoding::w32 ? 4 : 2;
-  const mem::MemResult first =
-      ifetch_.read(line.pc, unit, mem::Access::fetch, cycles_);
-  *fetch_cycles = first.cycles;
-  if (!first.ok()) {
-    do_fault(first.fault, line.pc, mem::Access::fetch);
-    return false;
-  }
-  if (line.replay == FetchReplay::two_read) {
-    const mem::MemResult second = ifetch_.read(
-        line.pc + 2, 2, mem::Access::fetch, cycles_ + *fetch_cycles);
-    *fetch_cycles += second.cycles;
-    if (!second.ok()) {
-      do_fault(second.fault, line.pc + 2, mem::Access::fetch);
-      return false;
-    }
-  }
   return true;
 }
 
@@ -370,18 +375,14 @@ void Core::branch_to(std::uint32_t target) {
                             mem::Access::fetch};
     return;
   }
-  regs_[isa::pc] = target & ~1u;  // bit 0 is an interworking hint; ignore
+  take_branch(target);
   clear_it_state();
   cycles_ += config_.timings.branch_taken_penalty;
-  ++stats_.taken_branches;
 }
 
 // ----- main step --------------------------------------------------------------------
 
-bool Core::step() {
-  if (halt_ != HaltReason::none) {
-    return false;
-  }
+bool Core::attend_boundary() {
   // Slow-path attention, hoisted so the common case (no hook, not sleeping,
   // no pending request) is a couple of predictable branches. The interrupt
   // poll is gated on the controller's pending-line dirty flag, set by
@@ -391,19 +392,28 @@ bool Core::step() {
     cycle_hook_(cycles_);
   }
   if (wfi_) {
-    if (intc_ != nullptr && intc_->dispatch_needed() &&
-        intc_->would_preempt(*this)) {
-      wfi_ = false;
-    } else {
-      cycles_ += 1;
-      return true;
+    if (intc_ == nullptr || !intc_->dispatch_needed() ||
+        !intc_->would_preempt(*this)) {
+      return false;
     }
+    wfi_ = false;
   }
   if (intc_ != nullptr && intc_->dispatch_needed()) {
     intc_->poll(*this);
+  }
+  return halt_ == HaltReason::none;
+}
+
+bool Core::step() {
+  if (halt_ != HaltReason::none) {
+    return false;
+  }
+  if (!attend_boundary()) {
     if (halt_ != HaltReason::none) {
       return false;
     }
+    cycles_ += 1;  // asleep: one idle cycle per step
+    return true;
   }
   if (sbcache_) {
     // Single-stepping still exercises block dispatch (the resume cursor
@@ -436,7 +446,10 @@ void Core::step_insn() {
     DecodeCache::Line* line = dcache_->lookup(cur_pc_);
     if (line != nullptr && line->privileged == privileged_) {
       ++dcache_->stats().hits;
-      if (!replay_fetch(*line, &fetch_cycles)) {
+      if (line->replay == FetchReplay::fixed) {
+        fetch_cycles = line->fixed_cycles;
+      } else if (!fetch(cur_pc_, FetchMode::replay, nullptr, &fetch_cycles,
+                        &line->replay)) {
         cycles_ += fetch_cycles;
         return;
       }
@@ -451,31 +464,14 @@ void Core::step_insn() {
 
   if (d == nullptr) {
     FetchReplay replay = FetchReplay::one_read;
-    if (!fetch_decode(cur_pc_, &fresh, &fetch_cycles, &replay)) {
+    if (!fetch(cur_pc_, FetchMode::run, &fresh, &fetch_cycles, &replay)) {
       cycles_ += fetch_cycles;
       return;
     }
     if (dcache_) {
-      std::uint32_t fixed_cycles = replay == FetchReplay::fixed ? 1 : 0;
-      if (replay != FetchReplay::fixed && ifetch_spans_ok_) {
-        // When every read of this fetch has provably state-free cost (SRAM;
-        // flash in its 1-cycle or prefetch-off regimes), cache the total
-        // and skip the memory traffic on every hit. The observed-cost
-        // cross-check keeps a misbehaving device honest.
-        const unsigned unit = config_.encoding == isa::Encoding::w32 ? 4 : 2;
-        std::optional<std::uint32_t> total =
-            ifetch_.fixed_fetch_cost(cur_pc_, unit);
-        if (total && replay == FetchReplay::two_read) {
-          const auto second = ifetch_.fixed_fetch_cost(cur_pc_ + 2, 2);
-          total = second ? std::optional<std::uint32_t>(*total + *second)
-                         : std::nullopt;
-        }
-        if (total && *total == fetch_cycles) {
-          replay = FetchReplay::fixed;
-          fixed_cycles = fetch_cycles;
-        }
-      }
-      dcache_->install(cur_pc_, fresh, replay, fixed_cycles, privileged_);
+      dcache_->install(cur_pc_, fresh, replay,
+                       replay == FetchReplay::fixed ? fetch_cycles : 0,
+                       privileged_);
       code_snoop_.widen(cur_pc_,
                         cur_pc_ + static_cast<std::uint32_t>(fresh.size));
     }
@@ -508,28 +504,12 @@ HaltReason Core::run_chunk(std::uint64_t max_instructions,
     if (cycles_ >= cycle_limit) {
       return HaltReason::none;
     }
-    // Boundary protocol, shared with the superblock dispatcher's internal
-    // boundaries: hook first (exactly once per instruction boundary), then
-    // sleep/interrupt attention, then execution.
-    if (cycle_hook_) {
-      cycle_hook_(cycles_);
-    }
-    if (wfi_) {
-      if (intc_ != nullptr && intc_->dispatch_needed() &&
-          intc_->would_preempt(*this)) {
-        wfi_ = false;
-      } else {
-        // Idle with nothing deliverable: hand back to the caller, which
-        // either ticks cycles (run) or fast-forwards to the next event
-        // (System::advance_to). This boundary's hook already ran.
-        return HaltReason::none;
-      }
-    }
-    if (intc_ != nullptr && intc_->dispatch_needed()) {
-      intc_->poll(*this);
-      if (halt_ != HaltReason::none) {
-        break;
-      }
+    // The superblock dispatcher attends its interior boundaries through
+    // the same routine. Asleep with nothing deliverable hands back to the
+    // caller, which either ticks cycles (run) or fast-forwards to the next
+    // event (System::advance_to); this boundary's hook already ran.
+    if (!attend_boundary()) {
+      return halt_;
     }
     if (sbcache_) {
       run_span(ilimit, cycle_limit);
@@ -611,129 +591,40 @@ void Core::execute(const Decoded& d, std::uint32_t* exec_cycles) {
     return;  // 1 cycle for the annulled slot
   }
 
-  // Effective flag-setting: inside an IT block only compares write flags
-  // (the Thumb-2 rule that lets 16-bit ALU forms be predicated).
-  const bool compare_op = i.op == Op::cmp || i.op == Op::cmn ||
-                          i.op == Op::tst || i.op == Op::teq;
-  const bool set =
-      (i.set_flags == SetFlags::yes) && (!in_it || compare_op);
-
-  const auto op2 = [&]() -> std::uint32_t {
-    return i.uses_imm ? static_cast<std::uint32_t>(i.imm) : regs_[i.rm];
-  };
+  const bool set = (i.set_flags == SetFlags::yes) &&
+                   (!in_it || sem::is_compare(i.op));
 
   switch (i.op) {
-    // ----- arithmetic -----
+    // ----- data processing (cpu/semantics.h) -----
     case Op::add:
-      regs_[i.rd] = add_with_carry(regs_[i.rn], op2(), false, set);
-      break;
     case Op::adc:
-      regs_[i.rd] = add_with_carry(regs_[i.rn], op2(), flags_.c, set);
-      break;
     case Op::sub:
-      regs_[i.rd] = add_with_carry(regs_[i.rn], ~op2(), true, set);
-      break;
     case Op::sbc:
-      regs_[i.rd] = add_with_carry(regs_[i.rn], ~op2(), flags_.c, set);
-      break;
     case Op::rsb:
-      regs_[i.rd] = add_with_carry(~regs_[i.rn], op2(), true, set);
-      break;
     case Op::cmp:
-      (void)add_with_carry(regs_[i.rn], ~op2(), true, true);
-      break;
     case Op::cmn:
-      (void)add_with_carry(regs_[i.rn], op2(), false, true);
+      exec_arith(i.op, i, set);
       break;
-
-    // ----- logical -----
     case Op::and_:
-      regs_[i.rd] = regs_[i.rn] & op2();
-      if (set) set_nz(regs_[i.rd]);
-      break;
     case Op::orr:
-      regs_[i.rd] = regs_[i.rn] | op2();
-      if (set) set_nz(regs_[i.rd]);
-      break;
     case Op::eor:
-      regs_[i.rd] = regs_[i.rn] ^ op2();
-      if (set) set_nz(regs_[i.rd]);
-      break;
     case Op::bic:
-      regs_[i.rd] = regs_[i.rn] & ~op2();
-      if (set) set_nz(regs_[i.rd]);
-      break;
-    case Op::tst: {
-      set_nz(regs_[i.rn] & op2());
-      break;
-    }
-    case Op::teq: {
-      set_nz(regs_[i.rn] ^ op2());
-      break;
-    }
+    case Op::tst:
+    case Op::teq:
     case Op::mov:
-      regs_[i.rd] = op2();
-      if (set) set_nz(regs_[i.rd]);
-      break;
     case Op::mvn:
-      regs_[i.rd] = ~op2();
-      if (set) set_nz(regs_[i.rd]);
+      exec_logical(i.op, i, set);
       break;
-
-    // ----- shifts -----
     case Op::lsl:
     case Op::lsr:
     case Op::asr:
-    case Op::ror: {
-      const std::uint32_t v = regs_[i.rn];
-      const std::uint32_t amount_full = i.uses_imm
-                                            ? static_cast<std::uint32_t>(i.imm)
-                                            : (regs_[i.rm] & 0xFF);
-      std::uint32_t r = v;
-      bool carry = flags_.c;
-      if (amount_full != 0) {
-        const std::uint32_t a = amount_full;
-        switch (i.op) {
-          case Op::lsl:
-            r = a >= 32 ? 0 : v << a;
-            carry = a <= 32 && ((v >> (32 - std::min(a, 32u))) & 1u);
-            if (a > 32) carry = false;
-            break;
-          case Op::lsr:
-            r = a >= 32 ? 0 : v >> a;
-            carry = a <= 32 && ((v >> (std::min(a, 32u) - 1)) & 1u);
-            if (a > 32) carry = false;
-            break;
-          case Op::asr:
-            r = a >= 32 ? (v >> 31 ? 0xFFFFFFFFu : 0)
-                        : static_cast<std::uint32_t>(
-                              static_cast<std::int32_t>(v) >>
-                              static_cast<int>(a));
-            carry = a >= 32 ? (v >> 31) != 0 : ((v >> (a - 1)) & 1u) != 0;
-            break;
-          default: {
-            const unsigned rot = a % 32;
-            r = support::rotate_right(v, rot);
-            carry = (r >> 31) != 0;
-            break;
-          }
-        }
-      }
-      regs_[i.rd] = r;
-      if (set) {
-        set_nz(r);
-        if (amount_full != 0) {
-          flags_.c = carry;
-        }
-      }
+    case Op::ror:
+      exec_shift(i, set);
       break;
-    }
 
     // ----- multiply / divide -----
     case Op::mul:
-      regs_[i.rd] = regs_[i.rn] * regs_[i.rm];
-      if (set) set_nz(regs_[i.rd]);
-      *exec_cycles = mul_cycles(regs_[i.rm]);
+      *exec_cycles = exec_mul(i, set);
       break;
     case Op::mla:
       regs_[i.rd] = regs_[i.rn] * regs_[i.rm] + regs_[i.ra];
@@ -755,56 +646,21 @@ void Core::execute(const Decoded& d, std::uint32_t* exec_cycles) {
       *exec_cycles = div_cycles(regs_[i.rn]);
       break;
 
-    // ----- wide moves / bitfield (B32) -----
     case Op::movw:
-      regs_[i.rd] = static_cast<std::uint32_t>(i.imm) & 0xFFFFu;
-      break;
     case Op::movt:
-      regs_[i.rd] = (regs_[i.rd] & 0xFFFFu) |
-                    ((static_cast<std::uint32_t>(i.imm) & 0xFFFFu) << 16);
-      break;
     case Op::bfi:
-      regs_[i.rd] = support::insert_bits(
-          regs_[i.rd], regs_[i.rn], static_cast<unsigned>(i.imm), i.width);
-      break;
     case Op::bfc:
-      regs_[i.rd] = support::insert_bits(regs_[i.rd], 0,
-                                         static_cast<unsigned>(i.imm),
-                                         i.width);
-      break;
     case Op::ubfx:
-      regs_[i.rd] =
-          bits(regs_[i.rn], static_cast<unsigned>(i.imm), i.width);
-      break;
     case Op::sbfx:
-      regs_[i.rd] = static_cast<std::uint32_t>(sign_extend(
-          bits(regs_[i.rn], static_cast<unsigned>(i.imm), i.width), i.width));
-      break;
     case Op::rbit:
-      regs_[i.rd] = support::reverse_bits(regs_[i.rm]);
-      break;
     case Op::rev:
-      regs_[i.rd] = support::reverse_bytes(regs_[i.rm]);
-      break;
     case Op::rev16:
-      regs_[i.rd] = support::reverse_bytes16(regs_[i.rm]);
-      break;
     case Op::clz:
-      regs_[i.rd] = support::count_leading_zeros(regs_[i.rm]);
-      break;
     case Op::sxtb:
-      regs_[i.rd] = static_cast<std::uint32_t>(
-          sign_extend(regs_[i.rm] & 0xFF, 8));
-      break;
     case Op::sxth:
-      regs_[i.rd] = static_cast<std::uint32_t>(
-          sign_extend(regs_[i.rm] & 0xFFFF, 16));
-      break;
     case Op::uxtb:
-      regs_[i.rd] = regs_[i.rm] & 0xFF;
-      break;
     case Op::uxth:
-      regs_[i.rd] = regs_[i.rm] & 0xFFFF;
+      exec_bit_op(i.op, i);
       break;
 
     // ----- loads / stores -----
@@ -813,22 +669,7 @@ void Core::execute(const Decoded& d, std::uint32_t* exec_cycles) {
     case Op::ldrh:
     case Op::ldrsb:
     case Op::ldrsh: {
-      std::uint32_t addr = 0;
-      switch (i.addr) {
-        case AddrMode::offset_imm:
-          addr = regs_[i.rn] + static_cast<std::uint32_t>(i.imm);
-          break;
-        case AddrMode::offset_reg:
-          addr = regs_[i.rn] + regs_[i.rm];
-          break;
-        case AddrMode::pc_rel:
-          addr = static_cast<std::uint32_t>(
-                     support::align_down(cur_pc_ + 4, 4)) +
-                 static_cast<std::uint32_t>(i.imm);
-          break;
-        default:
-          break;
-      }
+      const std::uint32_t addr = address(i.addr, i, cur_pc_);
       unsigned size = 4;
       bool sign = false;
       unsigned ext = 32;
@@ -851,10 +692,7 @@ void Core::execute(const Decoded& d, std::uint32_t* exec_cycles) {
     case Op::str:
     case Op::strb:
     case Op::strh: {
-      const std::uint32_t addr =
-          i.addr == AddrMode::offset_imm
-              ? regs_[i.rn] + static_cast<std::uint32_t>(i.imm)
-              : regs_[i.rn] + regs_[i.rm];
+      const std::uint32_t addr = address(i.addr, i, cur_pc_);
       const unsigned size = i.op == Op::strb ? 1 : i.op == Op::strh ? 2 : 4;
       std::uint32_t cycles = 0;
       if (!mem_write(addr, size, regs_[i.rd], &cycles)) {
@@ -864,9 +702,7 @@ void Core::execute(const Decoded& d, std::uint32_t* exec_cycles) {
       break;
     }
     case Op::adr:
-      regs_[i.rd] = static_cast<std::uint32_t>(
-                        support::align_down(cur_pc_ + 4, 4)) +
-                    static_cast<std::uint32_t>(i.imm);
+      regs_[i.rd] = sem::pc_relative(cur_pc_, i.imm);
       break;
 
     // ----- multiple transfer -----
@@ -957,27 +793,22 @@ void Core::execute(const Decoded& d, std::uint32_t* exec_cycles) {
 
     // ----- branches -----
     case Op::b:
-      branch_to(cur_pc_ + static_cast<std::uint32_t>(
-                              static_cast<std::int32_t>(i.imm)));
+      branch_to(sem::branch_target(cur_pc_, i.imm));
       break;
     case Op::bl:
       regs_[isa::lr] = cur_pc_ + static_cast<std::uint32_t>(d.size);
-      branch_to(cur_pc_ + static_cast<std::uint32_t>(
-                              static_cast<std::int32_t>(i.imm)));
+      branch_to(sem::branch_target(cur_pc_, i.imm));
       *exec_cycles = t.data_op + t.branch_link_extra;
       break;
     case Op::bx:
       branch_to(regs_[i.rm]);
       break;
     case Op::cbz:
-    case Op::cbnz: {
-      const bool zero = regs_[i.rn] == 0;
-      if (zero == (i.op == Op::cbz)) {
-        branch_to(cur_pc_ + static_cast<std::uint32_t>(
-                                static_cast<std::int32_t>(i.imm)));
+    case Op::cbnz:
+      if (cbz_taken(i)) {
+        branch_to(sem::branch_target(cur_pc_, i.imm));
       }
       break;
-    }
     case Op::tbb: {
       const std::uint32_t entry_addr = regs_[i.rn] + regs_[i.rm];
       std::uint32_t entry = 0;

@@ -7,6 +7,12 @@
 // ports); the microcontroller of §3.2 is a Core with Encoding::b32 +
 // modern_mcu timings + Ivc (+ bit-band on its bus).
 //
+// One definition of each instruction serves every dispatch tier (see
+// DispatchTier): instruction semantics live in cpu/semantics.h, called by
+// execute() and by the superblock handlers alike; fetch() is the one
+// fetch-and-decode path; attend_boundary() is the one hook → WFI gate →
+// interrupt poll sequence between instructions.
+//
 // Exception-return convention: entering an exception sets lr to a magic
 // value >= kExcReturnBase; executing bx/pop into such an address hands
 // control to the interrupt controller, which restores state (mirrors the
@@ -222,22 +228,40 @@ class Core {
   [[nodiscard]] JitStats jit_stats() const;
 
  private:
-  // Fetches and decodes at `addr`, charging fetch cycles (halfword-stream
-  // fetches for the 16/32-bit encodings). Returns false on fetch fault /
-  // undecodable bits / breakpoint. `replay` reports how a cached copy must
-  // reproduce the fetch cost (fixed for FPB patch RAM, else re-issued
-  // reads).
-  bool fetch_decode(std::uint32_t addr, Decoded* out,
-                    std::uint32_t* fetch_cycles, FetchReplay* replay);
-  // Reproduces the fetch timing of a cached instruction: charges the fixed
-  // cost or re-issues the ifetch reads so device state advances exactly as
-  // an uncached fetch would. Returns false on a fetch fault.
-  bool replay_fetch(const DecodeCache::Line& line, std::uint32_t* fetch_cycles);
+  // How fetch() treats a failure and the ifetch port.
+  //   run    — architectural fetch: a breakpoint, fault or undecodable
+  //            opcode halts the core or takes the fault.
+  //   probe  — superblock formation look-ahead: failures leave the core
+  //            untouched, and a read is issued only after the port priced
+  //            it state-free (a probe read on streaming flash would advance
+  //            the streamer and change guest cycles); the observed cost
+  //            must match that price.
+  //   replay — decode-cache hit: re-issue the cached instruction's reads
+  //            (*replay says how many) so stateful fetch timing advances
+  //            exactly as an uncached fetch would; no lookup, no check, no
+  //            decode.
+  enum class FetchMode : std::uint8_t { run, probe, replay };
+  // The one fetch path of every tier: FPB patch lookup, MPU fetch check,
+  // the unit read, the second-halfword read of a 32-bit instruction in a
+  // halfword stream, and the decode. *cycles receives the fetch cost (also
+  // on a failed run fetch, which still charges the reads it issued). On
+  // success *replay says how a cached copy reproduces that cost: `fixed`
+  // for FPB patch RAM and for reads the port priced state-free (asked
+  // before each read whenever a decode cache could keep the answer), else
+  // one or two re-issued reads.
+  bool fetch(std::uint32_t pc, FetchMode mode, Decoded* out,
+             std::uint32_t* cycles, FetchReplay* replay);
   void execute(const Decoded& d, std::uint32_t* exec_cycles);
 
+  // Boundary attention for every tier (step, run_chunk and the superblock
+  // dispatcher's interior boundaries): cycle hook (once per instruction
+  // boundary), then the WFI gate, then the interrupt poll. False when
+  // nothing may execute here: asleep with nothing deliverable, or halted
+  // by the poll.
+  bool attend_boundary();
   // One instruction (or fault/handler entry), with no boundary attention:
-  // the caller has already run the cycle hook, WFI gate and interrupt poll
-  // for this boundary. The per-instruction tier's whole body.
+  // the caller has already attended this boundary. The per-instruction
+  // tier's whole body.
   void step_insn();
 
   // Superblock tier (superblock.cpp). run_span executes from the current pc
@@ -247,11 +271,6 @@ class Core {
   // instruction via step_insn() so callers always make progress. ilimit is
   // an absolute insns_ bound, climit an absolute cycles_ bound.
   void run_span(std::uint64_t ilimit, std::uint64_t climit);
-  // Decode-ahead for formation: yields the decoded instruction and its
-  // state-free fetch cost at `pc` without charging cycles (FPB patch, a
-  // valid fixed decode-cache line, or a fixed_fetch_cost-gated real read
-  // whose observed cost must match the prediction). False: unsafe here.
-  bool peek_decode(std::uint32_t pc, Decoded* out, std::uint32_t* fixed);
   // Builds and installs the superblock starting at `start_pc`, or returns
   // nullptr when fewer than two entries chain.
   SuperblockCache::Block* form_superblock(std::uint32_t start_pc);
@@ -290,6 +309,25 @@ class Core {
     return r;
   }
 
+  // Instruction semantics, defined in cpu/semantics.h: each one applies an
+  // instruction's whole effect on registers and flags. execute() and every
+  // specialized superblock handler call them, passing `op` (a constant in
+  // the handlers) and the effective flag-setting.
+  [[nodiscard]] std::uint32_t operand2(const isa::Instruction& i) const;
+  void exec_arith(isa::Op op, const isa::Instruction& i, bool set);
+  void exec_logical(isa::Op op, const isa::Instruction& i, bool set);
+  void exec_shift(const isa::Instruction& i, bool set);
+  void exec_bit_op(isa::Op op, const isa::Instruction& i);
+  std::uint32_t exec_mul(const isa::Instruction& i, bool set);  // cycles
+  [[nodiscard]] bool cbz_taken(const isa::Instruction& i) const;  // cbz/cbnz
+  // The taken path of every direct and indirect branch (no IT clear, no
+  // cycle charge: branch_to and the superblock handlers add those).
+  void take_branch(std::uint32_t target);
+  // Load/store effective address; `pc` is the instruction's own address.
+  [[nodiscard]] std::uint32_t address(isa::AddrMode mode,
+                                      const isa::Instruction& i,
+                                      std::uint32_t pc) const;
+
   // IT block bookkeeping (B32).
   [[nodiscard]] bool it_active() const { return it_remaining_ > 0; }
   void advance_it() {
@@ -307,6 +345,9 @@ class Core {
 
   CoreConfig config_;
   const isa::Codec& codec_;
+  // Bytes of the first (or only) read of every instruction fetch: a word
+  // for W32, a halfword for the 16/32-bit streams.
+  const unsigned fetch_unit_;
   mem::MemPort& ifetch_;
   mem::MemPort& data_;
   mem::Mpu* mpu_ = nullptr;
@@ -349,7 +390,6 @@ class Core {
   // the last mapped region that declined (peripherals), so the hot
   // load/store path settles to raw host accesses with zero virtual calls.
   bool data_spans_ok_ = false;
-  bool ifetch_spans_ok_ = false;
   mem::DirectSpan dspan_;
   std::uint32_t nospan_base_ = 0;
   std::uint32_t nospan_size_ = 0;

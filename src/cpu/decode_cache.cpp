@@ -16,8 +16,8 @@ DecodeCache::DecodeCache(std::uint32_t num_lines, unsigned pc_shift)
 }
 
 // Installed `fixed` lines double as formation fodder for the superblock
-// tier: Core::peek_decode reuses a valid line instead of re-probing the
-// fetch path, so a warm loop upgrades to a block without extra bus reads.
+// tier: Core::form_superblock reuses a valid line instead of re-probing
+// the fetch path, so a warm loop upgrades to a block without extra bus reads.
 void DecodeCache::install(std::uint32_t pc, const Decoded& d,
                           FetchReplay replay, std::uint32_t fixed_cycles,
                           bool privileged) {

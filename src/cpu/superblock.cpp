@@ -1,6 +1,8 @@
 // SuperblockCache bookkeeping + the superblock execution tier of Core:
-// formation (form_superblock / peek_decode) and the threaded-dispatch
-// executor (run_span). See superblock.h for the invalidation contract.
+// formation (form_superblock) and the threaded-dispatch executor
+// (run_span). See superblock.h for the invalidation contract. This file
+// classifies, dispatches and charges cycles; every instruction result
+// comes from cpu/semantics.h, shared with Core::execute().
 //
 // Dispatch is a computed-goto loop on GNU-compatible compilers (built with
 // -fno-gcse so GCC does not merge the indirect jumps back into one —
@@ -13,13 +15,12 @@
 #include <cstddef>
 #include <iterator>
 #include <limits>
-#include <span>
 
 #include "cpu/core.h"
 #include "cpu/fpb.h"
 #include "cpu/hostmem.h"
 #include "cpu/intc.h"
-#include "support/bits.h"
+#include "cpu/semantics.h"
 
 namespace aces::cpu {
 
@@ -185,20 +186,6 @@ bool is_terminator(const Instruction& i) {
   }
 }
 
-// Body length of an IT block (same decode as Core::start_it). Bodies are
-// specialized in place: each slot's condition is static (the IT pattern is
-// part of the instruction), so formation bakes it into the entry and the
-// dispatch gate applies it — no live IT state on the hot path.
-int it_body_len(const Instruction& it) {
-  const std::uint8_t mask = it.it_mask & 0xFu;
-  for (int b = 0; b <= 3; ++b) {
-    if ((mask >> b) & 1u) {
-      return 4 - b;
-    }
-  }
-  return 0;
-}
-
 // Specialization rules: rd != pc for writers, memory classes only when no
 // MPU is wired (the generic funnel performs the MPU data check), and direct
 // branches only when the link-time target stays below the magic
@@ -224,9 +211,7 @@ ExecClass classify(const Instruction& i, std::uint32_t pc, bool has_mpu,
     case Op::b:
     case Op::cbz:
     case Op::cbnz: {
-      const std::uint32_t target =
-          pc + static_cast<std::uint32_t>(static_cast<std::int32_t>(i.imm));
-      if ((target & ~1u) >= kExcReturnBase) {
+      if ((sem::branch_target(pc, i.imm) & ~1u) >= kExcReturnBase) {
         return ExecClass::generic;  // magic exit/exception-return address
       }
       return i.op == Op::b ? ExecClass::branch : ExecClass::cbz;
@@ -331,80 +316,6 @@ ExecClass classify(const Instruction& i, std::uint32_t pc, bool has_mpu,
 
 }  // namespace
 
-bool Core::peek_decode(std::uint32_t pc, Decoded* out, std::uint32_t* fixed) {
-  // Flash-patch hits are fixed-cost by construction (patch RAM, 1 cycle);
-  // a patched-in breakpoint must fall to the per-instruction tier.
-  if (fpb_ != nullptr) {
-    if (const auto patch = fpb_->lookup(pc)) {
-      if (patch->breakpoint) {
-        return false;
-      }
-      out->insn = patch->replacement;
-      out->size = patch->replacement_size;
-      *fixed = 1;
-      return true;
-    }
-  }
-  // A valid fixed-replay decode-cache line already proved everything below
-  // (state-free cost, MPU fetch check under this privilege, FPB miss at the
-  // current version — entry gates compared versions before we got here).
-  if (DecodeCache::Line* line = dcache_->lookup(pc);
-      line != nullptr && line->privileged == privileged_ &&
-      line->replay == FetchReplay::fixed) {
-    *out = line->d;
-    *fixed = line->fixed_cycles;
-    return true;
-  }
-  const unsigned unit = config_.encoding == isa::Encoding::w32 ? 4 : 2;
-  if (mpu_ != nullptr &&
-      mpu_->check(pc, unit, mem::Access::fetch, privileged_) !=
-          mem::Fault::none) {
-    return false;
-  }
-  // Only provably state-free fetch regions may be chained; the observed
-  // cost of the probe read must match the prediction (a probe over SRAM or
-  // fixed-regime flash perturbs nothing but flash stream-hit statistics,
-  // same tolerance as decode_cache.h documents for `fixed` replay).
-  const std::optional<std::uint32_t> pred = ifetch_.fixed_fetch_cost(pc, unit);
-  if (!pred) {
-    return false;
-  }
-  const mem::MemResult first = ifetch_.read(pc, unit, mem::Access::fetch,
-                                            cycles_);
-  if (!first.ok()) {
-    return false;
-  }
-  std::uint32_t observed = first.cycles;
-  std::uint32_t total = *pred;
-  std::uint8_t buf[4] = {0, 0, 0, 0};
-  for (unsigned k = 0; k < unit; ++k) {
-    buf[k] = static_cast<std::uint8_t>(first.value >> (8 * k));
-  }
-  int n = codec_.decode(std::span<const std::uint8_t>(buf, unit), out->insn);
-  if (n == 0 && unit == 2) {
-    const auto pred2 = ifetch_.fixed_fetch_cost(pc + 2, 2);
-    if (!pred2) {
-      return false;
-    }
-    const mem::MemResult second =
-        ifetch_.read(pc + 2, 2, mem::Access::fetch, cycles_ + observed);
-    if (!second.ok()) {
-      return false;
-    }
-    observed += second.cycles;
-    total += *pred2;
-    buf[2] = static_cast<std::uint8_t>(second.value);
-    buf[3] = static_cast<std::uint8_t>(second.value >> 8);
-    n = codec_.decode(std::span<const std::uint8_t>(buf, 4), out->insn);
-  }
-  if (n == 0 || observed != total) {
-    return false;
-  }
-  out->size = n;
-  *fixed = total;
-  return true;
-}
-
 SuperblockCache::Block* Core::form_superblock(std::uint32_t start_pc) {
   SuperblockCache& sb = *sbcache_;
   std::vector<SuperblockCache::Entry>& out = sb.scratch();
@@ -423,8 +334,18 @@ SuperblockCache::Block* Core::form_superblock(std::uint32_t start_pc) {
     if (((pc ^ start_pc) & ~(SuperblockCache::kPageBytes - 1)) != 0) {
       break;  // page boundary: bounds the blast radius of one guest write
     }
+    // Decode ahead without charging cycles: a valid fixed-replay decode-
+    // cache line already proved everything a probe fetch checks (state-free
+    // cost, MPU fetch check under this privilege, FPB miss at the current
+    // version — entry gates compared versions before we got here).
     SuperblockCache::Entry e;
-    if (!peek_decode(pc, &e.d, &e.fixed_cycles)) {
+    if (const DecodeCache::Line* line = dcache_->lookup(pc);
+        line != nullptr && line->privileged == privileged_ &&
+        line->replay == FetchReplay::fixed) {
+      e.d = line->d;
+      e.fixed_cycles = line->fixed_cycles;
+    } else if (FetchReplay replay{};
+               !fetch(pc, FetchMode::probe, &e.d, &e.fixed_cycles, &replay)) {
       break;
     }
     e.pc = pc;
@@ -442,22 +363,22 @@ SuperblockCache::Block* Core::form_superblock(std::uint32_t start_pc) {
         it_body = -1;  // unspecializable body: cut before the IT entry
         break;
       }
-      const Op op = e.d.insn.op;
-      e.set = e.set && (op == Op::cmp || op == Op::cmn || op == Op::tst ||
-                        op == Op::teq);
+      e.set = e.set && sem::is_compare(e.d.insn.op);
       e.it_info = static_cast<std::uint8_t>(++it_pos);
       --it_body;
     } else {
       terminated = is_terminator(e.d.insn);
       e.klass = classify(e.d.insn, pc, mpu_ != nullptr, &e.set);
-      if (e.d.insn.op == Op::it &&
-          (it_body = it_body_len(e.d.insn)) > 0) {
+      if (e.d.insn.op == Op::it) {
         // Snapshot the exact start_it() expansion (the core is outside any
         // IT block during formation), then rewind: the body runs on baked
         // conditions and cold paths rebuild this state when needed.
         start_it(e.d.insn);
+        it_body = it_remaining_;
         it_conds = it_conds_;
         clear_it_state();
+      }
+      if (it_body > 0) {
         it_pos = 0;
         it_index = out.size();
         e.klass = ExecClass::it_;
@@ -715,258 +636,50 @@ dispatch_switch:
     cyc += e->base_cycles;                                   \
     ACES_SB_NEXT();                                             \
   }
-#define SB_OP2 \
-  (i.uses_imm ? static_cast<std::uint32_t>(i.imm) : regs_[i.rm])
+// A pure register/flag handler: the gate, the shared semantic helper
+// (cpu/semantics.h, with a constant op so it folds to that operation),
+// the entry's base cost.
+#define SB_HANDLER(name, EFFECT) \
+  lbl_##name : {                 \
+    SB_INSN;                     \
+    EFFECT;                      \
+    cyc += e->base_cycles;       \
+  }                              \
+  ACES_SB_NEXT();
 
 lbl_nop : {
   cyc += e->base_cycles;
 }
   ACES_SB_NEXT();
 
-lbl_mov : {
-  SB_INSN;
-  const std::uint32_t v = SB_OP2;
-  regs_[i.rd] = v;
-  if (e->set) {
-    set_nz(v);
-  }
-  cyc += e->base_cycles;
-}
-  ACES_SB_NEXT();
-
-lbl_mvn : {
-  SB_INSN;
-  const std::uint32_t v = ~SB_OP2;
-  regs_[i.rd] = v;
-  if (e->set) {
-    set_nz(v);
-  }
-  cyc += e->base_cycles;
-}
-  ACES_SB_NEXT();
-
-lbl_add : {
-  SB_INSN;
-  regs_[i.rd] = add_with_carry(regs_[i.rn], SB_OP2, false, e->set);
-  cyc += e->base_cycles;
-}
-  ACES_SB_NEXT();
-
-lbl_adc : {
-  SB_INSN;
-  regs_[i.rd] = add_with_carry(regs_[i.rn], SB_OP2, flags_.c, e->set);
-  cyc += e->base_cycles;
-}
-  ACES_SB_NEXT();
-
-lbl_sub : {
-  SB_INSN;
-  regs_[i.rd] = add_with_carry(regs_[i.rn], ~SB_OP2, true, e->set);
-  cyc += e->base_cycles;
-}
-  ACES_SB_NEXT();
-
-lbl_sbc : {
-  SB_INSN;
-  regs_[i.rd] = add_with_carry(regs_[i.rn], ~SB_OP2, flags_.c, e->set);
-  cyc += e->base_cycles;
-}
-  ACES_SB_NEXT();
-
-lbl_rsb : {
-  SB_INSN;
-  regs_[i.rd] = add_with_carry(~regs_[i.rn], SB_OP2, true, e->set);
-  cyc += e->base_cycles;
-}
-  ACES_SB_NEXT();
-
-lbl_cmp : {
-  SB_INSN;
-  (void)add_with_carry(regs_[i.rn], ~SB_OP2, true, true);
-  cyc += e->base_cycles;
-}
-  ACES_SB_NEXT();
-
-lbl_cmn : {
-  SB_INSN;
-  (void)add_with_carry(regs_[i.rn], SB_OP2, false, true);
-  cyc += e->base_cycles;
-}
-  ACES_SB_NEXT();
-
-lbl_and_ : {
-  SB_INSN;
-  const std::uint32_t v = regs_[i.rn] & SB_OP2;
-  regs_[i.rd] = v;
-  if (e->set) {
-    set_nz(v);
-  }
-  cyc += e->base_cycles;
-}
-  ACES_SB_NEXT();
-
-lbl_orr : {
-  SB_INSN;
-  const std::uint32_t v = regs_[i.rn] | SB_OP2;
-  regs_[i.rd] = v;
-  if (e->set) {
-    set_nz(v);
-  }
-  cyc += e->base_cycles;
-}
-  ACES_SB_NEXT();
-
-lbl_eor : {
-  SB_INSN;
-  const std::uint32_t v = regs_[i.rn] ^ SB_OP2;
-  regs_[i.rd] = v;
-  if (e->set) {
-    set_nz(v);
-  }
-  cyc += e->base_cycles;
-}
-  ACES_SB_NEXT();
-
-lbl_bic : {
-  SB_INSN;
-  const std::uint32_t v = regs_[i.rn] & ~SB_OP2;
-  regs_[i.rd] = v;
-  if (e->set) {
-    set_nz(v);
-  }
-  cyc += e->base_cycles;
-}
-  ACES_SB_NEXT();
-
-lbl_tst : {
-  SB_INSN;
-  set_nz(regs_[i.rn] & SB_OP2);
-  cyc += e->base_cycles;
-}
-  ACES_SB_NEXT();
-
-lbl_teq : {
-  SB_INSN;
-  set_nz(regs_[i.rn] ^ SB_OP2);
-  cyc += e->base_cycles;
-}
-  ACES_SB_NEXT();
-
-lbl_shift : {
-  SB_INSN;
-  const std::uint32_t v = regs_[i.rn];
-  const std::uint32_t amount_full =
-      i.uses_imm ? static_cast<std::uint32_t>(i.imm) : (regs_[i.rm] & 0xFF);
-  std::uint32_t r = v;
-  bool carry = flags_.c;
-  if (amount_full != 0) {
-    const std::uint32_t a = amount_full;
-    switch (i.op) {
-      case Op::lsl:
-        r = a >= 32 ? 0 : v << a;
-        carry = a <= 32 && ((v >> (32 - std::min(a, 32u))) & 1u);
-        if (a > 32) carry = false;
-        break;
-      case Op::lsr:
-        r = a >= 32 ? 0 : v >> a;
-        carry = a <= 32 && ((v >> (std::min(a, 32u) - 1)) & 1u);
-        if (a > 32) carry = false;
-        break;
-      case Op::asr:
-        r = a >= 32 ? (v >> 31 ? 0xFFFFFFFFu : 0)
-                    : static_cast<std::uint32_t>(static_cast<std::int32_t>(v) >>
-                                                 static_cast<int>(a));
-        carry = a >= 32 ? (v >> 31) != 0 : ((v >> (a - 1)) & 1u) != 0;
-        break;
-      default: {
-        const unsigned rot = a % 32;
-        r = support::rotate_right(v, rot);
-        carry = (r >> 31) != 0;
-        break;
-      }
-    }
-  }
-  regs_[i.rd] = r;
-  if (e->set) {
-    set_nz(r);
-    if (amount_full != 0) {
-      flags_.c = carry;
-    }
-  }
-  cyc += e->base_cycles;
-}
-  ACES_SB_NEXT();
+SB_HANDLER(mov, exec_logical(Op::mov, i, e->set))
+SB_HANDLER(mvn, exec_logical(Op::mvn, i, e->set))
+SB_HANDLER(add, exec_arith(Op::add, i, e->set))
+SB_HANDLER(adc, exec_arith(Op::adc, i, e->set))
+SB_HANDLER(sub, exec_arith(Op::sub, i, e->set))
+SB_HANDLER(sbc, exec_arith(Op::sbc, i, e->set))
+SB_HANDLER(rsb, exec_arith(Op::rsb, i, e->set))
+SB_HANDLER(cmp, exec_arith(Op::cmp, i, true))
+SB_HANDLER(cmn, exec_arith(Op::cmn, i, true))
+SB_HANDLER(and_, exec_logical(Op::and_, i, e->set))
+SB_HANDLER(orr, exec_logical(Op::orr, i, e->set))
+SB_HANDLER(eor, exec_logical(Op::eor, i, e->set))
+SB_HANDLER(bic, exec_logical(Op::bic, i, e->set))
+SB_HANDLER(tst, exec_logical(Op::tst, i, true))
+SB_HANDLER(teq, exec_logical(Op::teq, i, true))
+SB_HANDLER(shift, exec_shift(i, e->set))
+SB_HANDLER(movw, exec_bit_op(Op::movw, i))
+SB_HANDLER(movt, exec_bit_op(Op::movt, i))
+SB_HANDLER(ubfx, exec_bit_op(Op::ubfx, i))
+SB_HANDLER(sxtb, exec_bit_op(Op::sxtb, i))
+SB_HANDLER(sxth, exec_bit_op(Op::sxth, i))
+SB_HANDLER(uxtb, exec_bit_op(Op::uxtb, i))
+SB_HANDLER(uxth, exec_bit_op(Op::uxth, i))
+SB_HANDLER(adr, regs_[i.rd] = sem::pc_relative(e->pc, i.imm))
 
 lbl_mul : {
   SB_INSN;
-  regs_[i.rd] = regs_[i.rn] * regs_[i.rm];
-  if (e->set) {
-    set_nz(regs_[i.rd]);
-  }
-  // Early termination reads the (possibly just-written) rm, like execute().
-  cyc += std::max(e->fixed_cycles, mul_cycles(regs_[i.rm]));
-}
-  ACES_SB_NEXT();
-
-lbl_movw : {
-  SB_INSN;
-  regs_[i.rd] = static_cast<std::uint32_t>(i.imm) & 0xFFFFu;
-  cyc += e->base_cycles;
-}
-  ACES_SB_NEXT();
-
-lbl_movt : {
-  SB_INSN;
-  regs_[i.rd] = (regs_[i.rd] & 0xFFFFu) |
-                ((static_cast<std::uint32_t>(i.imm) & 0xFFFFu) << 16);
-  cyc += e->base_cycles;
-}
-  ACES_SB_NEXT();
-
-lbl_ubfx : {
-  SB_INSN;
-  regs_[i.rd] =
-      support::bits(regs_[i.rn], static_cast<unsigned>(i.imm), i.width);
-  cyc += e->base_cycles;
-}
-  ACES_SB_NEXT();
-
-lbl_sxtb : {
-  SB_INSN;
-  regs_[i.rd] =
-      static_cast<std::uint32_t>(support::sign_extend(regs_[i.rm] & 0xFF, 8));
-  cyc += e->base_cycles;
-}
-  ACES_SB_NEXT();
-
-lbl_sxth : {
-  SB_INSN;
-  regs_[i.rd] = static_cast<std::uint32_t>(
-      support::sign_extend(regs_[i.rm] & 0xFFFF, 16));
-  cyc += e->base_cycles;
-}
-  ACES_SB_NEXT();
-
-lbl_uxtb : {
-  SB_INSN;
-  regs_[i.rd] = regs_[i.rm] & 0xFF;
-  cyc += e->base_cycles;
-}
-  ACES_SB_NEXT();
-
-lbl_uxth : {
-  SB_INSN;
-  regs_[i.rd] = regs_[i.rm] & 0xFFFF;
-  cyc += e->base_cycles;
-}
-  ACES_SB_NEXT();
-
-lbl_adr : {
-  SB_INSN;
-  regs_[i.rd] =
-      static_cast<std::uint32_t>(support::align_down(e->pc + 4, 4)) +
-      static_cast<std::uint32_t>(i.imm);
-  cyc += e->base_cycles;
+  cyc += std::max(e->fixed_cycles, exec_mul(i, e->set));
 }
   ACES_SB_NEXT();
 
@@ -980,28 +693,22 @@ lbl_it_ : {
   ACES_SB_NEXT();
 
 // ----- direct branches (classifier-checked: target < kExcReturnBase) -----
-// Taken-path parity with branch_to(): mask bit 0, charge the pipeline
-// refill on top of the base cost, count the taken branch. clear_it_state()
-// is skipped — specialized entries never execute inside an IT block, so
-// the IT state is already clear.
+// Taken-path parity with branch_to(): take_branch(), plus the pipeline
+// refill on top of the base cost. clear_it_state() is skipped — specialized
+// entries never execute inside an IT block, so the IT state is already
+// clear.
 lbl_branch : {
   SB_INSN;  // an untaken conditional b is an annulled slot, like execute()
-  regs_[isa::pc] =
-      (e->pc + static_cast<std::uint32_t>(static_cast<std::int32_t>(i.imm))) &
-      ~1u;
+  take_branch(sem::branch_target(e->pc, i.imm));
   cyc += e->base_cycles + t.branch_taken_penalty;
-  ++stats_.taken_branches;
 }
   goto pc_changed;
 
 lbl_cbz : {
   SB_INSN;
-  if ((regs_[i.rn] == 0) == (i.op == Op::cbz)) {
-    regs_[isa::pc] = (e->pc + static_cast<std::uint32_t>(
-                                  static_cast<std::int32_t>(i.imm))) &
-                     ~1u;
+  if (cbz_taken(i)) {
+    take_branch(sem::branch_target(e->pc, i.imm));
     cyc += e->base_cycles + t.branch_taken_penalty;
-    ++stats_.taken_branches;
     goto pc_changed;
   }
   cyc += e->base_cycles;
@@ -1011,10 +718,10 @@ lbl_cbz : {
 // ----- memory fast paths (no MPU by classifier rule) -----
 // A miss on the cached DirectSpan funnels the whole entry through
 // execute(), which retries span acquisition and takes the virtual path.
-#define SB_LOAD(SIZE, ADDR_EXPR)                                           \
+#define SB_LOAD(SIZE, MODE)                                                \
   {                                                                        \
     SB_INSN;                                                               \
-    const std::uint32_t addr = (ADDR_EXPR);                                \
+    const std::uint32_t addr = address(AddrMode::MODE, i, e->pc);          \
     if (!span_covers(dspan_, addr, (SIZE)) &&                              \
         !(acquire_data_span(addr) && span_covers(dspan_, addr, (SIZE)))) { \
       goto slow_entry;                                                     \
@@ -1026,10 +733,10 @@ lbl_cbz : {
   }                                                                        \
   ACES_SB_NEXT();
 
-#define SB_STORE(SIZE, ADDR_EXPR)                                           \
+#define SB_STORE(SIZE, MODE)                                                \
   {                                                                         \
     SB_INSN;                                                                \
-    const std::uint32_t addr = (ADDR_EXPR);                                 \
+    const std::uint32_t addr = address(AddrMode::MODE, i, e->pc);           \
     if ((!span_covers(dspan_, addr, (SIZE)) &&                              \
          !(acquire_data_span(addr) && span_covers(dspan_, addr, (SIZE)))) || \
         !dspan_.writable) {                                                 \
@@ -1050,35 +757,35 @@ lbl_cbz : {
   ACES_SB_NEXT();
 
 lbl_ldr_imm:
-  SB_LOAD(4, regs_[i.rn] + static_cast<std::uint32_t>(i.imm))
+  SB_LOAD(4, offset_imm)
 lbl_ldrb_imm:
-  SB_LOAD(1, regs_[i.rn] + static_cast<std::uint32_t>(i.imm))
+  SB_LOAD(1, offset_imm)
 lbl_ldrh_imm:
-  SB_LOAD(2, regs_[i.rn] + static_cast<std::uint32_t>(i.imm))
+  SB_LOAD(2, offset_imm)
 lbl_ldr_reg:
-  SB_LOAD(4, regs_[i.rn] + regs_[i.rm])
+  SB_LOAD(4, offset_reg)
 lbl_ldrb_reg:
-  SB_LOAD(1, regs_[i.rn] + regs_[i.rm])
+  SB_LOAD(1, offset_reg)
 lbl_ldrh_reg:
-  SB_LOAD(2, regs_[i.rn] + regs_[i.rm])
+  SB_LOAD(2, offset_reg)
 
 lbl_str_imm:
-  SB_STORE(4, regs_[i.rn] + static_cast<std::uint32_t>(i.imm))
+  SB_STORE(4, offset_imm)
 lbl_strb_imm:
-  SB_STORE(1, regs_[i.rn] + static_cast<std::uint32_t>(i.imm))
+  SB_STORE(1, offset_imm)
 lbl_strh_imm:
-  SB_STORE(2, regs_[i.rn] + static_cast<std::uint32_t>(i.imm))
+  SB_STORE(2, offset_imm)
 lbl_str_reg:
-  SB_STORE(4, regs_[i.rn] + regs_[i.rm])
+  SB_STORE(4, offset_reg)
 lbl_strb_reg:
-  SB_STORE(1, regs_[i.rn] + regs_[i.rm])
+  SB_STORE(1, offset_reg)
 lbl_strh_reg:
-  SB_STORE(2, regs_[i.rn] + regs_[i.rm])
+  SB_STORE(2, offset_reg)
 
 #undef SB_LOAD
 #undef SB_STORE
 #undef SB_INSN
-#undef SB_OP2
+#undef SB_HANDLER
 
 // ----- generic funnel: full execute() semantics for one entry -----
 lbl_generic:
@@ -1141,26 +848,20 @@ boundary_attend:
   if (e->it_info != 0) {
     materialize_it(e);
   }
-  if (hooked) {
+  if (hooked || (intc != nullptr && intc->dispatch_needed())) {
+    // The per-instruction tier's boundary protocol, hook then poll (the
+    // WFI gate always passes here: wfi ends a block). A hook that
+    // invalidates decodes (an injector upset) still gets this boundary's
+    // poll before the fallback below.
     SB_SYNC();
-    cycle_hook_(cycles_);
-    cyc = cycles_;
-    if (block->gen != sb.generation()) {
-      step_insn();  // the hook invalidated decodes (e.g. injector upset)
-      return;
-    }
-  }
-  if (intc != nullptr && intc->dispatch_needed()) {
-    SB_SYNC();
-    intc->poll(*this);
-    if (halt_ != HaltReason::none) {
-      return;
+    if (!attend_boundary()) {
+      return;  // halted by the poll
     }
     if (regs_[isa::pc] != e->pc || block->gen != sb.generation() ||
         privileged_ != block->privileged) {
-      // Vectored to a handler (or hardware stacking snooped this block):
-      // this boundary is already serviced, so retire one instruction
-      // per-insn before handing back to the outer loop.
+      // Vectored to a handler, or the hook or hardware stacking killed
+      // this block: this boundary is already serviced, so retire one
+      // instruction per-insn before handing back to the outer loop.
       step_insn();
       return;
     }

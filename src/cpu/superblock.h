@@ -16,6 +16,10 @@
 // flash, I-cache fronted ports — the core stays on the per-instruction tier,
 // which replays fetches so stateful timing advances exactly.
 //
+// Handlers share the per-instruction tier's semantics rather than copying
+// them: each specialized handler is the predication gate, a call into
+// cpu/semantics.h with a constant op, and the entry's cycle charge.
+//
 // Invalidation mirrors the decode cache and adds block granularity: the
 // core-side store snoop and the bus write snoop kill any block whose chained
 // range the write lands in (a hit strictly inside the range counts as a

@@ -80,7 +80,8 @@ void GatewayNode::add_route(const Route& route) {
                    "data bit rate");
   }
   routes_.push_back(route);
-  dir_state(route.from, route.to);  // pre-create: no map mutation at runtime
+  // Pre-create: no map mutation at runtime.
+  (void)dir_state(route.from, route.to);
 }
 
 void GatewayNode::add_packed_route(const PackedRoute& route) {
@@ -134,7 +135,8 @@ void GatewayNode::add_packed_route(const PackedRoute& route) {
   }
   packed_routes_.push_back(std::move(stored));
   pack_state_.emplace_back();
-  dir_state(route.from, route.to);  // pre-create: no map mutation at runtime
+  // Pre-create: no map mutation at runtime.
+  (void)dir_state(route.from, route.to);
 }
 
 void GatewayNode::add_unpack_route(const UnpackRoute& route) {
@@ -164,7 +166,8 @@ void GatewayNode::add_unpack_route(const UnpackRoute& route) {
   }
   unpack_routes_.push_back(route);
   unpack_stats_.emplace_back();
-  dir_state(route.from, route.to);  // pre-create: no map mutation at runtime
+  // Pre-create: no map mutation at runtime.
+  (void)dir_state(route.from, route.to);
 }
 
 void GatewayNode::set_route_enabled(std::size_t route, bool enabled) {

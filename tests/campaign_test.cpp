@@ -94,53 +94,6 @@ TEST(Campaign, WorkerCountDoesNotChangeTheReport) {
   EXPECT_EQ(b.workers, 4u);
 }
 
-TEST(Campaign, ThreadBudgetBoundsWorkersTimesVariantThreads) {
-  const campaign::ScenarioSpec spec = small_vehicle(50 * kMillisecond, 8);
-
-  // workers x variant_threads <= thread_budget: an 8-thread budget with
-  // 2 shard threads per variant caps the pool at 4 workers, whatever was
-  // requested.
-  campaign::CampaignRunner::Config cfg;
-  cfg.workers = 16;
-  cfg.thread_budget = 8;
-  cfg.variant_threads = 2;
-  const campaign::CampaignResult capped =
-      campaign::CampaignRunner(cfg).run(spec);
-  EXPECT_LE(capped.workers * cfg.variant_threads, cfg.thread_budget);
-  EXPECT_EQ(capped.workers, 4u);
-
-  // A budget smaller than one variant's fan-out still runs (one worker).
-  campaign::CampaignRunner::Config tiny;
-  tiny.workers = 16;
-  tiny.thread_budget = 1;
-  tiny.variant_threads = 4;
-  EXPECT_EQ(campaign::CampaignRunner(tiny).run(spec).workers, 1u);
-}
-
-TEST(Campaign, ThreadBudgetDoesNotChangeTheReport) {
-  // The budget (and the per-variant shard thread count it rations) moves
-  // work between threads, never between variants: every budget choice
-  // produces a byte-identical deterministic report section.
-  const campaign::ScenarioSpec spec = small_vehicle(50 * kMillisecond, 4);
-
-  campaign::CampaignRunner::Config serial;
-  serial.workers = 1;
-  serial.variant_threads = 1;
-  campaign::CampaignRunner::Config budgeted;
-  budgeted.workers = 4;
-  budgeted.thread_budget = 4;
-  budgeted.variant_threads = 2;
-  campaign::CampaignRunner::Config wide;
-  wide.thread_budget = 16;
-  wide.variant_threads = 4;
-
-  const std::string base =
-      campaign::CampaignRunner(serial).run(spec).to_json(false);
-  EXPECT_EQ(campaign::CampaignRunner(budgeted).run(spec).to_json(false),
-            base);
-  EXPECT_EQ(campaign::CampaignRunner(wide).run(spec).to_json(false), base);
-}
-
 // ----- replay ----------------------------------------------------------------
 
 TEST(Campaign, ReplayReproducesAVariantBitIdentically) {

@@ -358,6 +358,73 @@ TEST(CanFault, FaultedRtaDominatesSimulatedBusUnderInjectedErrors) {
   EXPECT_EQ(total_errors, bus.fault_stats().bit_errors);
 }
 
+TEST(CanFault, SeededCampaignOnAnFdBusPricesErrorsPerPhase) {
+  // The same seeded model on a mixed classic + CAN FD bus: FD attempts are
+  // sized by their phase-split wire bits and every error instant is placed
+  // with the bus's own per-phase timing, so the E(t) spacing hypothesis
+  // holds on the wire the bus actually prices.
+  sim::EventQueue q;
+  CanBus bus(q, 500'000, 2'000'000);  // 2 us nominal, 0.5 us data phase
+  const NodeId tx = bus.attach_node("tx");
+  (void)bus.attach_node("rx");
+
+  // Spaced so TEC decay (-1 per success, ~700 frames/s) beats TEC growth
+  // (+8 per error): the transmitter never reaches bus-off.
+  SeededErrorCampaign campaign;
+  campaign.min_interarrival = 20 * kMillisecond;
+  campaign.probability = 0.5;
+  campaign.seed = 41;
+  const CanBus::BitErrorModel seeded = make_seeded_error_model(bus, campaign);
+  std::vector<SimTime> instants;
+  int fd_data_phase_errors = 0;
+  bus.set_bit_error_model([&](const CanFrame& f, NodeId n, SimTime start) {
+    const int bit = seeded(f, n, start);
+    if (bit >= 0) {
+      const CanBus::AttemptTiming t = bus.attempt_timing(f);
+      EXPECT_LT(static_cast<unsigned>(bit), t.bits);
+      instants.push_back(start + t.prefix(static_cast<unsigned>(bit) + 1));
+      if (f.fd && static_cast<unsigned>(bit) >= t.head &&
+          static_cast<unsigned>(bit) < t.head + t.data_bits) {
+        ++fd_data_phase_errors;
+      }
+    }
+    return bit;
+  });
+
+  CanFrame fd;
+  fd.id = 0x100;
+  fd.fd = true;
+  fd.brs = true;
+  fd.dlc = 15;  // 64 bytes
+  fd.data.fill(0x5A);
+  const CanFrame classic = frame(0x200, 8, 0xA5);
+  int fd_sent = 0;
+  int classic_sent = 0;
+  q.schedule_every(2 * kMillisecond, [&] {
+    bus.send(tx, fd);
+    ++fd_sent;
+  });
+  q.schedule_every(5 * kMillisecond, [&] {
+    bus.send(tx, classic);
+    ++classic_sent;
+  });
+  q.run_until(4 * sim::kSecond);
+
+  EXPECT_GT(bus.fault_stats().bit_errors, 50u);
+  EXPECT_EQ(bus.fault_stats().bus_off_events, 0u);
+  EXPECT_EQ(instants.size(), bus.fault_stats().bit_errors);
+  EXPECT_GT(fd_data_phase_errors, 0);
+  for (std::size_t k = 1; k < instants.size(); ++k) {
+    EXPECT_GE(instants[k] - instants[k - 1], campaign.min_interarrival);
+  }
+  // Every corrupted frame was retransmitted and delivered.
+  EXPECT_GT(bus.stats().at(0x100).errors, 0u);
+  EXPECT_GE(bus.stats().at(0x100).sent + 1,
+            static_cast<std::uint64_t>(fd_sent));
+  EXPECT_GE(bus.stats().at(0x200).sent + 1,
+            static_cast<std::uint64_t>(classic_sent));
+}
+
 // ----- CAN FD under the error machinery --------------------------------------
 
 struct FdBusFixture {

@@ -171,6 +171,62 @@ TEST_P(ExecAllEncodings, ShiftSemantics) {
             0x00FF00FFu);
   EXPECT_EQ(run_program(GetParam(), build(31, Op::asr), {0x80000000}),
             0xFFFFFFFFu);
+
+  // Register amounts (bottom byte of rm) with the flag-setting form, on
+  // v = 0x80000001 and both carry-ins. Expected (result, C) pairs are
+  // Shift_C from the ARM ARM: amount 0 passes value and carry through;
+  // lsl/lsr past 32 clear both; asr past 31 sign-fills with C = bit 31;
+  // ror by a multiple of 32 keeps the value with C = bit 31.
+  struct Case {
+    Op op;
+    std::uint32_t amount;
+    std::uint32_t result;
+    int carry;  // -1: the carry-in passes through
+  };
+  const Case cases[] = {
+      {Op::lsl, 0, 0x80000001u, -1}, {Op::lsl, 1, 0x00000002u, 1},
+      {Op::lsl, 31, 0x80000000u, 0}, {Op::lsl, 32, 0x00000000u, 1},
+      {Op::lsl, 33, 0x00000000u, 0}, {Op::lsl, 255, 0x00000000u, 0},
+      {Op::lsr, 0, 0x80000001u, -1}, {Op::lsr, 1, 0x40000000u, 1},
+      {Op::lsr, 31, 0x00000001u, 0}, {Op::lsr, 32, 0x00000000u, 1},
+      {Op::lsr, 33, 0x00000000u, 0}, {Op::lsr, 255, 0x00000000u, 0},
+      {Op::asr, 0, 0x80000001u, -1}, {Op::asr, 1, 0xC0000000u, 1},
+      {Op::asr, 31, 0xFFFFFFFFu, 0}, {Op::asr, 32, 0xFFFFFFFFu, 1},
+      {Op::asr, 33, 0xFFFFFFFFu, 1}, {Op::asr, 255, 0xFFFFFFFFu, 1},
+      {Op::ror, 0, 0x80000001u, -1}, {Op::ror, 1, 0xC0000000u, 1},
+      {Op::ror, 31, 0x00000003u, 0}, {Op::ror, 32, 0x80000001u, 1},
+      {Op::ror, 33, 0xC0000000u, 1}, {Op::ror, 255, 0x00000003u, 0},
+  };
+  // r2 = carry-in: cmp r2, #1 leaves C = (r2 >= 1). Then r0 = r0 <op> r1.
+  // 1-cycle flash keeps the fetch cost state-free, so the superblock tier
+  // chains the shift into a block rather than falling back per-insn.
+  for (const DispatchTier tier :
+       {DispatchTier::per_insn, DispatchTier::superblock}) {
+    for (const Case& c : cases) {
+      for (const std::uint32_t carry_in : {0u, 1u}) {
+        Assembler a(GetParam(), kFlashBase);
+        a.ins(ins_cmp_imm(r2, 1));
+        a.ins(ins_rrr(c.op, r0, r0, r1, SetFlags::yes));
+        a.ins(ins_ret());
+        const Image image = a.assemble();
+        System sys(
+            basic_config(GetParam()).flash_wait(1).dispatch_tier(tier));
+        sys.load(image);
+        const std::uint32_t r =
+            sys.call(image.base, {0x80000001u, c.amount, carry_in});
+        const bool want_c = c.carry < 0 ? carry_in != 0 : c.carry != 0;
+        SCOPED_TRACE(::testing::Message()
+                     << isa::op_name(c.op) << " #" << c.amount
+                     << " carry-in " << carry_in << " tier "
+                     << static_cast<int>(tier));
+        EXPECT_EQ(r, c.result);
+        EXPECT_EQ(sys.core().flags().c, want_c);
+        if (tier == DispatchTier::superblock) {
+          EXPECT_GT(sys.core().jit_stats().block_instructions, 0u);
+        }
+      }
+    }
+  }
 }
 
 TEST_P(ExecAllEncodings, CarryChainAdd64) {

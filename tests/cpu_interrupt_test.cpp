@@ -3,6 +3,9 @@
 // §3.1.2 restartable ldm/stm predictability feature.
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "cpu/ivc.h"
 #include "cpu/profiles.h"
 #include "cpu/system.h"
@@ -223,13 +226,14 @@ TEST(ClassicVicTest, FiqPreemptsIrqHandler) {
 // ----- Ivc ------------------------------------------------------------------------
 
 struct IvcFixture {
-  System sys{mcu_config()};
+  System sys;
   Ivc ivc;
   std::uint32_t entry = 0;
 
   explicit IvcFixture(Assembler& a, Label entry_label, Label handler,
-                      unsigned lines = 4)
-      : ivc(make_config(lines)) {
+                      unsigned lines = 4,
+                      const SystemBuilder& builder = mcu_config())
+      : sys(builder), ivc(make_config(lines)) {
     const Image image = a.assemble();
     sys.load(image);
     entry = a.label_address(entry_label);
@@ -476,6 +480,55 @@ TEST(IvcTest, WfiWakesOnInterrupt) {
   }
   EXPECT_EQ(read_mailbox(f.sys), 1u);
   EXPECT_FALSE(f.sys.core().waiting_for_interrupt());
+}
+
+TEST(IvcTest, HookThatInvalidatesDecodesStillPollsItsBoundary) {
+  // A cycle hook that drops every cached decode (what a fault injector's
+  // upset does) and raises a line at the same boundary: each tier must
+  // still poll that boundary before executing, so the superblock tier's
+  // (pc, cycles) trace matches the uncached reference tier's exactly.
+  using Trace = std::vector<std::pair<std::uint32_t, std::uint64_t>>;
+  const auto run = [](const SystemBuilder& builder, std::uint64_t fire_at,
+                      DispatchTier want) {
+    Assembler a(Encoding::b32, kFlashBase);
+    const Label entry = a.bound_label();
+    a.ins(ins_mov_imm(r0, 0, SetFlags::any));
+    const Label top = a.bound_label();  // one 13-entry block
+    for (int k = 0; k < 12; ++k) {
+      a.ins(ins_rri(Op::add, r0, r0, 1, SetFlags::any));
+    }
+    a.b(top);
+    a.pool();
+    const Label handler = emit_count_handler(a, /*software_save=*/false);
+    IvcFixture f(a, entry, handler, 4, builder);
+    EXPECT_EQ(f.sys.core().dispatch_tier(), want);
+    f.ivc.enable_line(1, 32);
+    Trace trace;
+    bool fired = false;
+    f.sys.core().set_cycle_hook([&](std::uint64_t cycles) {
+      trace.emplace_back(f.sys.core().pc(), cycles);
+      if (!fired && cycles >= fire_at) {
+        fired = true;
+        f.sys.core().invalidate_decoded();
+        f.ivc.raise(1, cycles);
+      }
+    });
+    (void)f.sys.core().run(400);
+    EXPECT_EQ(f.ivc.stats().entries, 1u);
+    if (want == DispatchTier::superblock) {
+      EXPECT_GT(f.sys.core().jit_stats().block_instructions, 0u);
+    }
+    return trace;
+  };
+  // 1-cycle flash: the fetch regime superblocks may chain in.
+  const SystemBuilder fast = mcu_config().flash_wait(1);
+  const SystemBuilder uncached =
+      mcu_config().flash_wait(1).decode_cache_lines(0);
+  for (std::uint64_t fire_at = 20; fire_at < 200; fire_at += 7) {
+    EXPECT_EQ(run(fast, fire_at, DispatchTier::superblock),
+              run(uncached, fire_at, DispatchTier::off))
+        << "fire_at " << fire_at;
+  }
 }
 
 // ----- Restartable LDM (§3.1.2) ------------------------------------------------

@@ -7,9 +7,13 @@
 // run exactly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "net/network.h"
@@ -137,19 +141,26 @@ TEST(ShardedSimulation, RelaxedPostRunsAtTheNextBoundary) {
 TEST(ShardedSimulation, DoubleRunsAreIdenticalAcrossThreadCounts) {
   // A ping-pong workload: every arrival posts back to the peer shard at
   // +lookahead, two independent chains plus same-instant collisions.
-  // The full arrival trace (shard, time, tag) must be identical at every
-  // thread count.
-  using Trace = std::vector<std::tuple<int, SimTime, int>>;
+  // Each shard records its own arrivals (time, tag) — only that shard's
+  // worker ever touches its trace — and every per-shard trace must be
+  // identical at every thread count, as must the merged view ordered by
+  // (time, shard, seq).
+  using Trace = std::vector<std::pair<SimTime, int>>;
+  using Merged = std::vector<std::tuple<SimTime, int, std::size_t, int>>;
+  struct Run {
+    std::array<Trace, 2> per_shard;
+    Merged merged;
+  };
   const auto run = [](unsigned threads) {
     ShardedSimulation sim;
     Shard& a = sim.add_shard();
     Shard& b = sim.add_shard();
     sim.set_lookahead(100);
     sim.set_threads(threads);
-    auto trace = std::make_shared<Trace>();
+    Run out;
     std::function<void(Shard&, Shard&, int)> bounce =
-        [&bounce, trace](Shard& here, Shard& peer, int tag) {
-          trace->emplace_back(static_cast<int>(here.index()), here.now(), tag);
+        [&bounce, &out](Shard& here, Shard& peer, int tag) {
+          out.per_shard[here.index()].emplace_back(here.now(), tag);
           if (here.now() < 2000) {
             Shard::current()->post_cross(
                 peer, here.now() + 100,
@@ -160,15 +171,24 @@ TEST(ShardedSimulation, DoubleRunsAreIdenticalAcrossThreadCounts) {
     a.schedule_at(0, [&] { bounce(a, b, 2); });
     b.schedule_at(50, [&] { bounce(b, a, 3); });
     sim.run_until(3000);
-    Trace out = *trace;
+    for (std::size_t s = 0; s < out.per_shard.size(); ++s) {
+      for (std::size_t seq = 0; seq < out.per_shard[s].size(); ++seq) {
+        const auto& [at, tag] = out.per_shard[s][seq];
+        out.merged.emplace_back(at, static_cast<int>(s), seq, tag);
+      }
+    }
+    std::sort(out.merged.begin(), out.merged.end());
     return out;
   };
-  const Trace t1 = run(1);
-  const Trace t2 = run(2);
-  const Trace t4 = run(4);
-  EXPECT_FALSE(t1.empty());
-  EXPECT_EQ(t1, t2);
-  EXPECT_EQ(t1, t4);
+  const Run r1 = run(1);
+  EXPECT_FALSE(r1.per_shard[0].empty());
+  EXPECT_FALSE(r1.per_shard[1].empty());
+  for (const unsigned threads : {2u, 4u}) {
+    const Run rn = run(threads);
+    EXPECT_EQ(rn.per_shard[0], r1.per_shard[0]) << threads << " threads";
+    EXPECT_EQ(rn.per_shard[1], r1.per_shard[1]) << threads << " threads";
+    EXPECT_EQ(rn.merged, r1.merged) << threads << " threads";
+  }
 }
 
 TEST(ShardedSimulation, WatchdogTripsOnTheGlobalCountAcrossShards) {
