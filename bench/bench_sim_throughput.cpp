@@ -18,15 +18,15 @@ using namespace aces::bench;
 
 namespace {
 
-void IssThroughput(benchmark::State& state, std::uint32_t decode_cache_lines,
-                   cpu::DispatchTier tier) {
+// crc16 from the AutoIndy suite on `builder`'s system (the encoding must
+// match the builder's).
+void IssThroughput(benchmark::State& state, cpu::SystemBuilder builder,
+                   isa::Encoding enc = isa::Encoding::b32) {
   const workloads::Kernel& kernel = workloads::autoindy_suite()[4];  // crc16
   const kir::KFunction f = kernel.build();
   const kir::LoweredProgram prog =
-      kir::lower_program({&f}, isa::Encoding::b32, cpu::kFlashBase);
-  cpu::System sys(system_for(isa::Encoding::b32, MemRegime::zero_wait)
-                      .decode_cache_lines(decode_cache_lines)
-                      .dispatch_tier(tier));
+      kir::lower_program({&f}, enc, cpu::kFlashBase);
+  cpu::System sys(builder);
   sys.load(prog.image);
   support::Rng256 rng(1);
   const workloads::Instance in = kernel.make_instance(rng, workloads::kDataBase);
@@ -60,26 +60,69 @@ void IssThroughput(benchmark::State& state, std::uint32_t decode_cache_lines,
   }
 }
 
+cpu::SystemBuilder iss_system(MemRegime regime, std::uint32_t cache_lines,
+                              cpu::DispatchTier tier) {
+  return system_for(isa::Encoding::b32, regime)
+      .decode_cache_lines(cache_lines)
+      .dispatch_tier(tier);
+}
+
 // The three-tier ladder CI tracks (BENCH_core.json): superblock is the
 // default shipping configuration, the per-insn decode-cache tier is the
 // previous PR's configuration, and Uncached doubles as the pre-decode-cache
-// baseline. The perf smoke gate asserts Superblock >= 2x the per-insn tier.
+// baseline. The perf smoke gate asserts Superblock >= 2x the per-insn tier
+// on zero-wait memory and on slow flash.
 void BM_IssInstructionThroughputSuperblock(benchmark::State& state) {
-  IssThroughput(state, 2048, cpu::DispatchTier::superblock);
+  IssThroughput(state, iss_system(MemRegime::zero_wait, 2048,
+                                  cpu::DispatchTier::superblock));
 }
 BENCHMARK(BM_IssInstructionThroughputSuperblock);
 
 void BM_IssInstructionThroughput(benchmark::State& state) {
-  IssThroughput(state, 2048, cpu::DispatchTier::per_insn);
+  IssThroughput(state, iss_system(MemRegime::zero_wait, 2048,
+                                  cpu::DispatchTier::per_insn));
 }
 BENCHMARK(BM_IssInstructionThroughput);
 
 // The pre-decode-cache configuration, kept as a self-measuring baseline so
 // the speedup is visible in every BENCH_core.json artifact.
 void BM_IssInstructionThroughputUncached(benchmark::State& state) {
-  IssThroughput(state, 0, cpu::DispatchTier::per_insn);
+  IssThroughput(state,
+                iss_system(MemRegime::zero_wait, 0, cpu::DispatchTier::off));
 }
 BENCHMARK(BM_IssInstructionThroughputUncached);
+
+// §2.2's regime, the default flash every modeled MCU runs from: 5 wait
+// states behind the prefetch streamer, which superblocks charge inline.
+void BM_IssInstructionThroughputSuperblockSlowFlash(benchmark::State& state) {
+  IssThroughput(state, iss_system(MemRegime::slow_flash, 2048,
+                                  cpu::DispatchTier::superblock));
+}
+BENCHMARK(BM_IssInstructionThroughputSuperblockSlowFlash);
+
+void BM_IssInstructionThroughputSlowFlash(benchmark::State& state) {
+  IssThroughput(state, iss_system(MemRegime::slow_flash, 2048,
+                                  cpu::DispatchTier::per_insn));
+}
+BENCHMARK(BM_IssInstructionThroughputSlowFlash);
+
+// An I-cache fronted core, where no superblock can form: the superblock
+// tier must fall back without costing more than per_insn.
+void BM_IssInstructionThroughputSuperblockCachedHp(benchmark::State& state) {
+  IssThroughput(state,
+                cpu::profiles::cached_hp(isa::Encoding::w32)
+                    .dispatch_tier(cpu::DispatchTier::superblock),
+                isa::Encoding::w32);
+}
+BENCHMARK(BM_IssInstructionThroughputSuperblockCachedHp);
+
+void BM_IssInstructionThroughputCachedHp(benchmark::State& state) {
+  IssThroughput(state,
+                cpu::profiles::cached_hp(isa::Encoding::w32)
+                    .dispatch_tier(cpu::DispatchTier::per_insn),
+                isa::Encoding::w32);
+}
+BENCHMARK(BM_IssInstructionThroughputCachedHp);
 
 void BM_EventQueueThroughput(benchmark::State& state) {
   std::uint64_t events = 0;

@@ -8,6 +8,7 @@
 #include "cpu/hostmem.h"
 #include "cpu/intc.h"
 #include "cpu/semantics.h"
+#include "mem/flash.h"
 #include "support/bits.h"
 #include "support/check.h"
 
@@ -33,13 +34,16 @@ Core::Core(CoreConfig config, mem::MemPort& ifetch, mem::MemPort& data)
   if (config_.decode_cache_lines != 0) {
     const unsigned pc_shift = fetch_unit_ / 2;  // log2 of the unit
     dcache_.emplace(config_.decode_cache_lines, pc_shift);
-    if (config_.dispatch_tier == DispatchTier::superblock) {
+    // Behind an ifetch port with timing of its own (an I-cache) no fetch
+    // cost is reproducible without the port, so no block could ever form.
+    if (config_.dispatch_tier == DispatchTier::superblock &&
+        ifetch_.transparent()) {
       sbcache_.emplace(config_.decode_cache_lines, pc_shift);
     }
   }
   code_snoop_.wire(dcache_ ? &*dcache_ : nullptr,
                    sbcache_ ? &*sbcache_ : nullptr);
-  data_spans_ok_ = data_.offers_direct_spans();
+  data_spans_ok_ = data_.transparent();
 }
 
 void Core::reset(std::uint32_t entry_pc, std::uint32_t initial_sp) {
@@ -310,20 +314,28 @@ bool Core::fetch(std::uint32_t pc, FetchMode mode, Decoded* out,
       price = cost ? std::optional<std::uint32_t>(*price + *cost)
                    : std::nullopt;
     }
+    std::uint32_t value = 0;
     if (probe && !price) {
-      return false;
-    }
-    const mem::MemResult r =
-        ifetch_.read(addr, size, mem::Access::fetch, cycles_ + *cycles);
-    *cycles += r.cycles;
-    if (!r.ok()) {
-      if (!probe) {
-        do_fault(r.fault, addr, mem::Access::fetch);
+      // Streamed: every read of the instruction must come from one flash
+      // streamer (no read issued yet), peeked without advancing it.
+      if (*cycles != 0 || !streamer_covers(addr, size)) {
+        return false;
       }
-      return false;
+      value = fstream_.flash->peek(addr - fstream_.base, size);
+    } else {
+      const mem::MemResult r =
+          ifetch_.read(addr, size, mem::Access::fetch, cycles_ + *cycles);
+      *cycles += r.cycles;
+      if (!r.ok()) {
+        if (!probe) {
+          do_fault(r.fault, addr, mem::Access::fetch);
+        }
+        return false;
+      }
+      value = r.value;
     }
     for (unsigned k = 0; k < size; ++k) {
-      buf[offset + k] = static_cast<std::uint8_t>(r.value >> (8 * k));
+      buf[offset + k] = static_cast<std::uint8_t>(value >> (8 * k));
     }
     return true;
   };
@@ -346,7 +358,7 @@ bool Core::fetch(std::uint32_t pc, FetchMode mode, Decoded* out,
     n = codec_.decode(std::span<const std::uint8_t>(buf, 4), out->insn);
     *replay = FetchReplay::two_read;
   }
-  if (n == 0 || (probe && *price != *cycles)) {
+  if (n == 0 || (probe && price && *price != *cycles)) {
     if (!probe) {
       halt(HaltReason::invalid_insn);
     }
@@ -357,6 +369,15 @@ bool Core::fetch(std::uint32_t pc, FetchMode mode, Decoded* out,
   }
   out->size = n;
   return true;
+}
+
+bool Core::streamer_covers(std::uint32_t addr, std::uint32_t size) {
+  if (addr - fstream_.base >= fstream_.size) {
+    (void)ifetch_.fetch_streamer(addr, &fstream_);
+  }
+  const std::uint32_t off = addr - fstream_.base;
+  return fstream_.flash != nullptr && off < fstream_.size &&
+         size <= fstream_.size - off;
 }
 
 // ----- control transfer -----------------------------------------------------------
@@ -415,7 +436,7 @@ bool Core::step() {
     cycles_ += 1;  // asleep: one idle cycle per step
     return true;
   }
-  if (sbcache_) {
+  if (takes_span()) {
     // Single-stepping still exercises block dispatch (the resume cursor
     // carries the position between steps), so direct step() drivers — the
     // differential fuzzer above all — test the same machinery run() uses.
@@ -511,7 +532,7 @@ HaltReason Core::run_chunk(std::uint64_t max_instructions,
     if (!attend_boundary()) {
       return halt_;
     }
-    if (sbcache_) {
+    if (takes_span()) {
       run_span(ilimit, cycle_limit);
     } else {
       step_insn();

@@ -65,9 +65,11 @@ struct CoreFault {
 //   off        — decode from scratch every step (the reference tier).
 //   per_insn   — decoded-instruction cache, one dispatch per step.
 //   superblock — chain decoded entries into straight-line superblocks and
-//                run them through a threaded-dispatch loop, falling back to
-//                per_insn wherever formation is unsafe (stateful fetch
-//                timing, MPU-guarded memory, IT-block entry) or a block was
+//                run them through a threaded-dispatch loop — on state-free
+//                fetch timing and on flash streamers alike, the latter
+//                charged inline per entry — falling back to per_insn
+//                wherever formation is unsafe (I-cache fronted fetch,
+//                MPU-guarded memory, IT-block entry) or a block was
 //                invalidated.
 enum class DispatchTier : std::uint8_t { off, per_insn, superblock };
 
@@ -84,7 +86,9 @@ struct CoreConfig {
   // the reference the differential tests compare the cached runs against.
   // Host-side speed only; retired (pc, cycles) traces are identical.
   std::uint32_t decode_cache_lines = 2048;
-  // Requested speed tier; clamped to `off` when decode_cache_lines == 0.
+  // Requested speed tier; clamped to `off` when decode_cache_lines == 0,
+  // and from superblock to per_insn behind an ifetch port that interposes
+  // timing of its own (an I-cache), where no block could form.
   DispatchTier dispatch_tier = DispatchTier::superblock;
 };
 
@@ -187,7 +191,7 @@ class Core {
   [[nodiscard]] SuperblockCache* superblock_cache() {
     return sbcache_ ? &*sbcache_ : nullptr;
   }
-  // The tier actually running (the config request clamped by cache size).
+  // The tier actually running (the config request, clamped).
   [[nodiscard]] DispatchTier dispatch_tier() const {
     return sbcache_   ? DispatchTier::superblock
            : dcache_ ? DispatchTier::per_insn
@@ -233,9 +237,11 @@ class Core {
   //            opcode halts the core or takes the fault.
   //   probe  — superblock formation look-ahead: failures leave the core
   //            untouched, and a read is issued only after the port priced
-  //            it state-free (a probe read on streaming flash would advance
-  //            the streamer and change guest cycles); the observed cost
-  //            must match that price.
+  //            it state-free (the observed cost must match that price).
+  //            A read the port cannot price is peeked from the flash
+  //            streamer covering it instead — a real read would advance
+  //            the streamer and change guest cycles — and *replay says how
+  //            many streamer reads the entry issues when it runs.
   //   replay — decode-cache hit: re-issue the cached instruction's reads
   //            (*replay says how many) so stateful fetch timing advances
   //            exactly as an uncached fetch would; no lookup, no check, no
@@ -248,7 +254,7 @@ class Core {
   // success *replay says how a cached copy reproduces that cost: `fixed`
   // for FPB patch RAM and for reads the port priced state-free (asked
   // before each read whenever a decode cache could keep the answer), else
-  // one or two re-issued reads.
+  // one or two re-issued reads (streamer reads, for a probe).
   bool fetch(std::uint32_t pc, FetchMode mode, Decoded* out,
              std::uint32_t* cycles, FetchReplay* replay);
   void execute(const Decoded& d, std::uint32_t* exec_cycles);
@@ -271,9 +277,20 @@ class Core {
   // instruction via step_insn() so callers always make progress. ilimit is
   // an absolute insns_ bound, climit an absolute cycles_ bound.
   void run_span(std::uint64_t ilimit, std::uint64_t climit);
-  // Builds and installs the superblock starting at `start_pc`, or returns
-  // nullptr when fewer than two entries chain.
+  // Whether this boundary goes to run_span: on the superblock tier, unless
+  // the pc holds a negative marker (then it costs one lookup, not a span
+  // entry) and no parked block cursor may resume there.
+  [[nodiscard]] bool takes_span() {
+    return sbcache_ &&
+           (sb_resume_block_ != nullptr ||
+            !sbcache_->marked_unformable(regs_[isa::pc], privileged_));
+  }
+  // Builds and installs the superblock starting at `start_pc`, or a
+  // negative marker (no entries) when fewer than two entries chain.
   SuperblockCache::Block* form_superblock(std::uint32_t start_pc);
+  // True when [addr, addr + size) lies in the flash streamer fstream_
+  // covers, re-probing the ifetch port when addr is outside that window.
+  bool streamer_covers(std::uint32_t addr, std::uint32_t size);
 
   // Memory helpers: MPU check + data port access; sets pending fault.
   bool mem_read(std::uint32_t addr, unsigned size, std::uint32_t* value,
@@ -386,6 +403,12 @@ class Core {
   std::uint32_t sb_resume_idx_ = 0;
   std::uint32_t fpb_version_seen_ = 0;
   std::uint32_t mpu_version_seen_ = 0;
+  // The ifetch port's flash streamer for the last window formation asked
+  // about (flash == nullptr: none there).
+  mem::FetchStreamer fstream_;
+  // The streamer every streamed superblock entry runs: the first one
+  // formation met (code streamed from a second flash stays per-insn).
+  mem::FetchStreamer sb_streamer_;
   // Cached data-side DirectSpan (size 0: none) plus a negative window for
   // the last mapped region that declined (peripherals), so the hot
   // load/store path settles to raw host accesses with zero virtual calls.

@@ -30,9 +30,11 @@
 // address). No modeled scenario executes from bit-banded data.
 //
 // This cache is the middle rung of the dispatch ladder: the superblock tier
-// (cpu/superblock.h) chains `fixed`-replay entries of decode-cache grade
-// into straight-line blocks, reusing valid lines during formation and
-// mirroring every invalidation source above at block granularity.
+// (cpu/superblock.h) chains entries of decode-cache grade into straight-
+// line blocks — `fixed`-replay ones, and one_read/two_read ones whose reads
+// a flash streamer prices (run inline, not replayed through the port) —
+// reusing valid lines during formation and mirroring every invalidation
+// source above at block granularity.
 #ifndef ACES_CPU_DECODE_CACHE_H
 #define ACES_CPU_DECODE_CACHE_H
 

@@ -21,6 +21,7 @@
 #include "cpu/hostmem.h"
 #include "cpu/intc.h"
 #include "cpu/semantics.h"
+#include "mem/flash.h"
 
 namespace aces::cpu {
 
@@ -41,24 +42,26 @@ SuperblockCache::SuperblockCache(std::uint32_t num_blocks, unsigned pc_shift)
 }
 
 SuperblockCache::Block* SuperblockCache::install(std::uint32_t start_pc,
+                                                 std::uint32_t end_pc,
                                                  bool privileged) {
   Block& b = blocks_[(start_pc >> pc_shift_) & mask_];
-  if (b.gen == generation_) {
+  if (b.gen == generation_ && !b.entries.empty()) {
     ++stats_.blocks_killed;  // direct-mapped eviction
-  } else {
-    ++live_;
+    --live_;
   }
   b.entries.swap(scratch_);
   b.start_pc = start_pc;
-  const Entry& last = b.entries.back();
-  b.end_pc = last.pc + static_cast<std::uint32_t>(last.d.size);
+  b.end_pc = end_pc;
   b.gen = generation_;
   ++b.seq;
   b.privileged = privileged;
   watch_lo_ = std::min(watch_lo_, b.start_pc);
   watch_hi_ = std::max(watch_hi_, b.end_pc);
-  ++stats_.blocks_formed;
-  stats_.entries_chained += b.entries.size();
+  if (!b.entries.empty()) {
+    ++live_;
+    ++stats_.blocks_formed;
+    stats_.entries_chained += b.entries.size();
+  }
   return &b;
 }
 
@@ -82,10 +85,7 @@ void SuperblockCache::invalidate_range(std::uint32_t addr, std::uint32_t len) {
     invalidate_all();  // image reload: not worth probing per word
     return;
   }
-  // The rewritten bytes may make a previously-unformable pc chainable;
-  // reopen formation everywhere (range writes are rare SMC events).
-  no_form_.fill(0);
-  // A block overlapping [addr, addr+len) must start in
+  // A block (or negative marker) overlapping [addr, addr+len) must start in
   // (addr - kMaxSpanBytes, addr + len): probe every aligned candidate start.
   // Bounded (~kMaxSpanBytes/step + len/step probes) and only reached when
   // the write already hit the watch window.
@@ -102,6 +102,9 @@ void SuperblockCache::invalidate_range(std::uint32_t addr, std::uint32_t len) {
     }
     if (b.end_pc > addr && static_cast<std::uint64_t>(b.start_pc) < wend) {
       b.gen = 0;
+      if (b.entries.empty()) {
+        continue;  // a marker: the rewritten bytes may now chain
+      }
       --live_;
       ++stats_.blocks_killed;
       if (addr > b.start_pc) {
@@ -334,19 +337,30 @@ SuperblockCache::Block* Core::form_superblock(std::uint32_t start_pc) {
     if (((pc ^ start_pc) & ~(SuperblockCache::kPageBytes - 1)) != 0) {
       break;  // page boundary: bounds the blast radius of one guest write
     }
-    // Decode ahead without charging cycles: a valid fixed-replay decode-
-    // cache line already proved everything a probe fetch checks (state-free
-    // cost, MPU fetch check under this privilege, FPB miss at the current
-    // version — entry gates compared versions before we got here).
+    // Decode ahead without charging cycles or advancing a streamer: a valid
+    // decode-cache line already proved what a probe fetch checks (MPU fetch
+    // check under this privilege, FPB miss at the current version — entry
+    // gates compared versions before we got here), and a fixed one its
+    // state-free cost; a replayed one still needs a streamer under it.
     SuperblockCache::Entry e;
+    FetchReplay replay = FetchReplay::fixed;
     if (const DecodeCache::Line* line = dcache_->lookup(pc);
         line != nullptr && line->privileged == privileged_ &&
-        line->replay == FetchReplay::fixed) {
+        (line->replay == FetchReplay::fixed ||
+         streamer_covers(pc, static_cast<std::uint32_t>(line->d.size)))) {
       e.d = line->d;
-      e.fixed_cycles = line->fixed_cycles;
-    } else if (FetchReplay replay{};
-               !fetch(pc, FetchMode::probe, &e.d, &e.fixed_cycles, &replay)) {
+      e.fetch_cycles = line->fixed_cycles;
+      replay = line->replay;
+    } else if (!fetch(pc, FetchMode::probe, &e.d, &e.fetch_cycles,
+                      &replay)) {
       break;
+    }
+    if (replay != FetchReplay::fixed) {
+      if (sb_streamer_.flash == nullptr) {
+        sb_streamer_ = fstream_;
+      } else if (sb_streamer_.flash != fstream_.flash) {
+        break;  // one streamer per core
+      }
     }
     e.pc = pc;
     if (it_body > 0) {
@@ -385,7 +399,10 @@ SuperblockCache::Block* Core::form_superblock(std::uint32_t start_pc) {
         e.set = false;
       }
     }
-    e.base_cycles = std::max(e.fixed_cycles, config_.timings.data_op);
+    e.base_cycles = std::max(e.fetch_cycles, config_.timings.data_op);
+    e.dispatch = static_cast<std::uint8_t>(
+        static_cast<std::uint8_t>(e.klass) +
+        (replay == FetchReplay::fixed ? 0 : SuperblockCache::kStreamed));
     out.push_back(e);
     pc += static_cast<std::uint32_t>(e.d.size);
   }
@@ -394,12 +411,18 @@ SuperblockCache::Block* Core::form_superblock(std::uint32_t start_pc) {
     // never leave one in a block — cut back to just before the IT.
     out.resize(it_index);
   }
+  std::uint32_t end_pc = 0;
   if (out.size() < 2) {
+    // Chaining one entry buys nothing over per-insn: install a negative
+    // marker over the bytes formation examined (up to the failed fetch).
     out.clear();
-    return nullptr;  // chaining one entry buys nothing over per-insn
+    end_pc = start_pc + std::min(pc + 4 - start_pc,
+                                 SuperblockCache::kMaxSpanBytes);
+  } else {
+    end_pc = out.back().pc + static_cast<std::uint32_t>(out.back().d.size);
   }
-  SuperblockCache::Block* b = sb.install(start_pc, privileged_);
-  code_snoop_.widen(start_pc, b->end_pc);
+  SuperblockCache::Block* b = sb.install(start_pc, end_pc, privileged_);
+  code_snoop_.widen(start_pc, end_pc);
   return b;
 }
 
@@ -417,7 +440,7 @@ SuperblockCache::Block* Core::form_superblock(std::uint32_t start_pc) {
 
 #if defined(__GNUC__) && !defined(ACES_SB_SWITCH_DISPATCH)
 #define ACES_SB_THREADED 1
-#define ACES_SB_DISPATCH() goto* kLabels[static_cast<std::size_t>(e->klass)]
+#define ACES_SB_DISPATCH() goto* kLabels[e->dispatch]
 #else
 #define ACES_SB_THREADED 0
 #define ACES_SB_DISPATCH() goto dispatch_switch
@@ -449,25 +472,50 @@ SuperblockCache::Block* Core::form_superblock(std::uint32_t start_pc) {
     ACES_SB_DISPATCH();                           \
   } while (0)
 
+namespace {
+
+// A streamed entry's fetch: the flash's streamer protocol, run exactly as
+// Core::fetch's reads would — the first read (`unit` bytes) at the
+// instruction's start cycle `now`, then, for a 32-bit instruction in a
+// halfword stream, the second halfword at now + first. Out of line so the
+// protocol is not copied into every dispatch stub.
+[[gnu::noinline]] std::uint32_t stream_fetch(const mem::FetchStreamer& s,
+                                             const SuperblockCache::Entry& e,
+                                             unsigned unit, std::uint64_t now) {
+  const std::uint32_t off = e.pc - s.base;
+  std::uint32_t cycles = s.flash->stream_fetch(off, unit, now);
+  if (static_cast<unsigned>(e.d.size) > unit) {
+    cycles += s.flash->stream_fetch(off + 2, 2, now + cycles);
+  }
+  return cycles;
+}
+
+}  // namespace
+
 void Core::run_span(std::uint64_t ilimit, std::uint64_t climit) {
 #if ACES_SB_THREADED
 #define ACES_SB_LABEL_ADDR(name) &&lbl_##name,
+#define ACES_SB_STREAM_LABEL_ADDR(name) &&lbl_stream_##name,
+  // Indexed by Entry::dispatch: the class handlers, then their streamed
+  // stubs.
   static const void* const kLabels[] = {
-      ACES_SB_FOR_EACH_CLASS(ACES_SB_LABEL_ADDR)};
+      ACES_SB_FOR_EACH_CLASS(ACES_SB_LABEL_ADDR)
+          ACES_SB_FOR_EACH_CLASS(ACES_SB_STREAM_LABEL_ADDR)};
 #undef ACES_SB_LABEL_ADDR
-  static_assert(std::size(kLabels) ==
-                    static_cast<std::size_t>(ExecClass::count),
-                "kLabels must cover every ExecClass in order");
+#undef ACES_SB_STREAM_LABEL_ADDR
+  static_assert(std::size(kLabels) == 2 * SuperblockCache::kStreamed,
+                "kLabels must cover every ExecClass in order, twice");
 #endif
   // All locals up front: the handler gotos may not jump over initialized
   // declarations at function scope.
   SuperblockCache& sb = *sbcache_;
   const CoreTimings& t = config_.timings;
   SuperblockCache::Block* block = nullptr;
-  const SuperblockCache::Entry* e = nullptr;     // cursor (the hot induction)
-  const SuperblockCache::Entry* ents = nullptr;  // first entry (loop-back)
-  const SuperblockCache::Entry* eend = nullptr;  // one past the last entry
-  const SuperblockCache::Entry* estop = nullptr;  // next mandatory slow check
+  // Entries are mutable only for the streamed stubs' per-execution fetch.
+  SuperblockCache::Entry* e = nullptr;     // cursor (the hot induction)
+  SuperblockCache::Entry* ents = nullptr;  // first entry (loop-back)
+  SuperblockCache::Entry* eend = nullptr;  // one past the last entry
+  SuperblockCache::Entry* estop = nullptr;  // next mandatory slow check
   // Span-invariant attention state. All three are host-API-owned (nothing a
   // guest instruction, device write, or the hook itself can install or
   // remove mid-span), so hoisting them keeps the interior boundary down to
@@ -553,24 +601,17 @@ void Core::run_span(std::uint64_t ilimit, std::uint64_t climit) {
     return;
   }
   block = sb.lookup(regs_[isa::pc], privileged_);
-  if (block != nullptr) {
-    ++sb.stats().hits;
-  } else {
-    // Hot unformable pcs (a WFI idle loop's wake point above all) would
-    // otherwise pay the failed probe reads and decode on every single
-    // re-entry; the negative cache drops that to one compare.
-    if (sb.known_unformable(regs_[isa::pc])) {
-      ++sb.stats().misses;
-      step_insn();
-      return;
-    }
+  if (block == nullptr) {
     block = form_superblock(regs_[isa::pc]);
-    if (block == nullptr) {
-      sb.note_unformable(regs_[isa::pc]);
-      ++sb.stats().misses;
-      step_insn();
-      return;
-    }
+  } else if (!block->entries.empty()) {
+    ++sb.stats().hits;
+  }
+  if (block->entries.empty()) {
+    // Formation just failed here and left a negative marker (the callers
+    // route pcs already marked straight to step_insn).
+    ++sb.stats().misses;
+    step_insn();
+    return;
   }
   // The entries vector is stable for the whole span: installs only happen
   // at span entry, and invalidation flips `gen` without touching storage.
@@ -613,22 +654,42 @@ dispatch_entry:
 
 #if !ACES_SB_THREADED
 dispatch_switch:
-  switch (e->klass) {
-#define ACES_SB_CASE(name) \
-  case ExecClass::name:    \
-    goto lbl_##name;
+  switch (e->dispatch) {
+#define ACES_SB_CASE(name)                                      \
+  case static_cast<std::uint8_t>(ExecClass::name):              \
+    goto lbl_##name;                                            \
+  case SuperblockCache::kStreamed +                             \
+      static_cast<std::uint8_t>(ExecClass::name):               \
+    goto lbl_stream_##name;
     ACES_SB_FOR_EACH_CLASS(ACES_SB_CASE)
 #undef ACES_SB_CASE
-    case ExecClass::count:
+    default:
       break;
   }
-  goto lbl_generic;  // unreachable: every klass has a case
+  goto lbl_generic;  // unreachable: every dispatch index has a case
 #endif
+
+// ----- streamed stubs --------------------------------------------------------
+// A streamed entry dispatches to its class's stub first. The stub charges
+// this execution's fetch — after the boundary's limits and attention, so
+// parked or attended entries never touch the streamer — by running the
+// core's flash streamer, stores it as the entry's fetch_cycles /
+// base_cycles, and jumps to the class handler, which charges it like a
+// fixed cost (the slow-path funnel reuses it, never re-fetching). Fixed
+// entries skip the stubs and pay nothing for them.
+#define ACES_SB_STREAM_STUB(name)                                       \
+  lbl_stream_##name : {                                                 \
+    e->fetch_cycles = stream_fetch(sb_streamer_, *e, fetch_unit_, cyc); \
+    e->base_cycles = std::max(e->fetch_cycles, t.data_op);              \
+  }                                                                     \
+  goto lbl_##name;
+  ACES_SB_FOR_EACH_CLASS(ACES_SB_STREAM_STUB)
+#undef ACES_SB_STREAM_STUB
 
 // ----- specialized handlers (rd != pc, outside IT bodies) -----
 // SB_INSN opens every handler: bind the instruction and apply W32
 // predication exactly like execute() — a failed condition is an annulled
-// slot (max(fetch, data_op) cycles, ++predicated_skips, no effects).
+// slot (base_cycles = max(fetch, data_op), ++predicated_skips, no effects).
 #define SB_INSN                                                  \
   const Instruction& i = e->d.insn;                              \
   if (i.cond != Cond::al && !isa::cond_holds(i.cond, flags_)) {  \
@@ -679,7 +740,7 @@ SB_HANDLER(adr, regs_[i.rd] = sem::pc_relative(e->pc, i.imm))
 
 lbl_mul : {
   SB_INSN;
-  cyc += std::max(e->fixed_cycles, exec_mul(i, e->set));
+  cyc += std::max(e->fetch_cycles, exec_mul(i, e->set));
 }
   ACES_SB_NEXT();
 
@@ -728,8 +789,8 @@ lbl_cbz : {
     }                                                                      \
     regs_[i.rd] = load_le(dspan_.data + (addr - dspan_.base), (SIZE));     \
     ++stats_.loads;                                                        \
-    cyc += std::max(e->fixed_cycles, t.data_op + t.load_extra +        \
-                                             dspan_.read_cycles);          \
+    cyc += std::max(e->fetch_cycles, t.data_op + t.load_extra +           \
+                                         dspan_.read_cycles);              \
   }                                                                        \
   ACES_SB_NEXT();
 
@@ -744,8 +805,8 @@ lbl_cbz : {
     }                                                                       \
     store_le(dspan_.data + (addr - dspan_.base), (SIZE), regs_[i.rd]);      \
     ++stats_.stores;                                                        \
-    cyc += std::max(e->fixed_cycles, t.data_op + t.store_extra +        \
-                                             dspan_.write_cycles);          \
+    cyc += std::max(e->fetch_cycles, t.data_op + t.store_extra +           \
+                                         dspan_.write_cycles);              \
     dcache_->snoop_write(addr, (SIZE));                                     \
     sb.snoop_write(addr, (SIZE));                                           \
     if (block->gen != sb.generation()) {                                    \
@@ -797,7 +858,7 @@ slow_entry : {
   SB_SYNC();
   std::uint32_t exec_cycles = 0;
   execute(e->d, &exec_cycles);
-  cyc = cycles_ + std::max(e->fixed_cycles, exec_cycles);
+  cyc = cycles_ + std::max(e->fetch_cycles, exec_cycles);
   if (halt_ != HaltReason::none) {
     SB_SYNC();
     return;

@@ -5,16 +5,23 @@
 // block-entry pc and ending at the first terminator: any branch, any op that
 // can leave the straight line (svc/bkpt/wfi, pop/ldm touching pc, any
 // rd==pc writer), a 1 KiB page boundary, or the length cap. Every entry
-// records the *modeled* fixed fetch cost, so block execution charges exactly
-// the cycles the per-instruction tier would — the tiers are bit-identical in
-// (pc, cycles) traces, proven by the three-way differential fuzzer.
+// records how to reproduce its *modeled* fetch cost, so block execution
+// charges exactly the cycles the per-instruction tier would — the tiers are
+// bit-identical in (pc, cycles) traces and flash streamer statistics,
+// proven by the three-way differential fuzzer.
 //
-// Formation is only attempted where the fetch cost is provably state-free
-// (MemPort::fixed_fetch_cost answers: SRAM, flash in its 1-cycle or
-// prefetch-off regimes, FPB patch RAM) and the observed read cost matches
-// the prediction. Everywhere else — TCM under a fault injector, streaming
-// flash, I-cache fronted ports — the core stays on the per-instruction tier,
-// which replays fetches so stateful timing advances exactly.
+// Formation accepts every pc whose fetch cost the core can reproduce
+// exactly without the port: state-free fetches (MemPort::fixed_fetch_cost
+// answers: SRAM, flash in its 1-cycle or prefetch-off regimes, FPB patch
+// RAM) are charged their fixed price, and streamer-backed flash
+// (MemPort::fetch_streamer answers: the default wait-stated regimes) is
+// charged by running the flash's own streamer protocol inline at each
+// entry, with one or two reads exactly as the per-instruction tier issues
+// them. Behind an I-cache fronted ifetch port nothing qualifies, so the
+// core does not build this tier at all (the request clamps to per_insn).
+// Elsewhere — TCM under a fault injector — a pc that fails formation holds
+// a negative marker in its block slot and runs per-instruction, replaying
+// fetches through the port so stateful timing advances exactly.
 //
 // Handlers share the per-instruction tier's semantics rather than copying
 // them: each specialized handler is the predication gate, a call into
@@ -32,7 +39,6 @@
 #define ACES_CPU_SUPERBLOCK_H
 
 #include <algorithm>
-#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -79,13 +85,23 @@ class SuperblockCache {
   static constexpr std::uint32_t kPageBytes = 1024;
   // Longest possible chained byte range (for the snoop probe window).
   static constexpr std::uint32_t kMaxSpanBytes = kMaxEntries * 4;
+  // Entry::dispatch offset of the streamed stubs.
+  static constexpr std::uint8_t kStreamed =
+      static_cast<std::uint8_t>(ExecClass::count);
 
   struct Entry {
     Decoded d;
     std::uint32_t pc = 0;
-    std::uint32_t fixed_cycles = 0;  // modeled fetch cost of this entry
-    std::uint32_t base_cycles = 0;   // max(fixed_cycles, timings.data_op)
+    // Modeled fetch cost and max(fetch_cycles, timings.data_op): fixed at
+    // formation, or — for a streamed entry — rewritten by its dispatch
+    // stub on every execution.
+    std::uint32_t fetch_cycles = 0;
+    std::uint32_t base_cycles = 0;
     ExecClass klass = ExecClass::generic;
+    // Label-table index: klass, or kStreamed + klass for a streamed entry,
+    // whose fetch runs the core's flash streamer (two reads for a 32-bit
+    // instruction in a halfword stream, else one) each time it executes.
+    std::uint8_t dispatch = 0;
     bool set = false;  // effective flag-setting (classifier-validated)
     // 1-based position inside a specialized IT body (0 = outside). The
     // body's static condition is baked into d.insn.cond for the dispatch
@@ -93,8 +109,16 @@ class SuperblockCache {
     // state (the IT entry sits it_info slots back) for exception stacking
     // and per-instruction fallback.
     std::uint8_t it_info = 0;
+
+    [[nodiscard]] bool streamed() const { return dispatch >= kStreamed; }
   };
 
+  // A slot whose `entries` is empty is a negative marker: formation failed
+  // at start_pc (a WFI idle loop, a lone terminator, a fetch neither a
+  // fixed price nor a streamer covers) and the core goes per-instruction
+  // there without re-probing. Markers live and die like blocks —
+  // generation flushes and range kills over [start_pc, end_pc) reopen
+  // formation — but never count in the formed/killed statistics.
   struct Block {
     std::vector<Entry> entries;
     std::uint32_t start_pc = 0;
@@ -118,6 +142,17 @@ class SuperblockCache {
   // `num_blocks` must be a power of two; `pc_shift` as in DecodeCache.
   explicit SuperblockCache(std::uint32_t num_blocks, unsigned pc_shift = 1);
 
+  // True (counted as a miss) when `pc` holds a negative marker: the caller
+  // runs it per-instruction without entering block dispatch.
+  [[nodiscard]] bool marked_unformable(std::uint32_t pc, bool privileged) {
+    const Block* b = lookup(pc, privileged);
+    if (b == nullptr || !b->entries.empty()) {
+      return false;
+    }
+    ++stats_.misses;
+    return true;
+  }
+
   [[nodiscard]] Block* lookup(std::uint32_t pc, bool privileged) {
     Block& b = blocks_[(pc >> pc_shift_) & mask_];
     return (b.gen == generation_ && b.start_pc == pc &&
@@ -127,24 +162,11 @@ class SuperblockCache {
   }
 
   // Formation scratch: build entries here, then install() moves them into
-  // the mapped slot (recycling the evicted block's capacity).
+  // the mapped slot (recycling the evicted block's capacity). An empty
+  // scratch installs a negative marker covering [start_pc, end_pc).
   [[nodiscard]] std::vector<Entry>& scratch() { return scratch_; }
-  Block* install(std::uint32_t start_pc, bool privileged);
-
-  // Negative formation cache: pcs where form_superblock just failed (a WFI
-  // idle loop, a lone terminator, stateful fetch). Purely host-side — the
-  // dispatcher falls back to step_insn either way — but it spares the
-  // failed probe reads and decode on every re-entry. Entries die with the
-  // generation, so any full flush (FPB/MPU bump, injector upset, reset)
-  // re-opens formation.
-  [[nodiscard]] bool known_unformable(std::uint32_t pc) const {
-    return no_form_[(pc >> pc_shift_) & (no_form_.size() - 1)] ==
-           ((static_cast<std::uint64_t>(generation_) << 32) | pc);
-  }
-  void note_unformable(std::uint32_t pc) {
-    no_form_[(pc >> pc_shift_) & (no_form_.size() - 1)] =
-        (static_cast<std::uint64_t>(generation_) << 32) | pc;
-  }
+  Block* install(std::uint32_t start_pc, std::uint32_t end_pc,
+                 bool privileged);
 
   void invalidate_all();
   void invalidate_range(std::uint32_t addr, std::uint32_t len);
@@ -165,9 +187,6 @@ class SuperblockCache {
  private:
   std::vector<Block> blocks_;
   std::vector<Entry> scratch_;
-  // (generation << 32 | pc) per slot; gen 0 never matches (blocks start
-  // invalid at gen 0, the cache itself at gen 1).
-  std::array<std::uint64_t, 16> no_form_{};
   std::uint32_t mask_ = 0;
   unsigned pc_shift_ = 1;
   std::uint32_t generation_ = 1;  // blocks start at gen 0: all invalid

@@ -14,9 +14,11 @@
 // execute of instruction k. Flash-resident code is therefore fetch-bound —
 // exactly the regime where the paper's code-density arguments (§2.1, §2.2)
 // bite. Every dispatch tier charges from this one model: the superblock
-// executor pre-folds max(fixed fetch cost, data_op) into each chained
-// entry at formation time, so changing a cost here re-prices all tiers
-// identically (the differential fuzzer holds them to it).
+// executor computes each chained entry's fetch cost as it dispatches it (a
+// fixed price, or the flash streamer run inline) and charges
+// max(fetch, execute) from these same fields, so changing a cost here
+// re-prices all tiers identically (the differential fuzzer holds them to
+// it).
 #ifndef ACES_CPU_TIMINGS_H
 #define ACES_CPU_TIMINGS_H
 

@@ -161,6 +161,17 @@ std::optional<std::uint32_t> Bus::fixed_fetch_cost(std::uint32_t addr,
   return dev->fixed_fetch_cost(offset, size);
 }
 
+bool Bus::fetch_streamer(std::uint32_t addr, FetchStreamer* out) {
+  std::uint32_t offset = 0;
+  Device* dev = device_at(addr, &offset);
+  if (dev == nullptr || !dev->fetch_streamer(out)) {
+    *out = FetchStreamer{};
+    return false;
+  }
+  out->base = addr - offset;
+  return true;
+}
+
 bool Bus::direct_span(std::uint32_t addr, DirectSpan* out) {
   *out = DirectSpan{};
   std::uint32_t offset = 0;

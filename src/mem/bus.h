@@ -75,6 +75,10 @@ class Bus {
   [[nodiscard]] std::optional<std::uint32_t> fixed_fetch_cost(
       std::uint32_t addr, unsigned size);
 
+  // Device::fetch_streamer for the device covering `addr`, rebased to
+  // guest addresses; false when unmapped or the device declines.
+  bool fetch_streamer(std::uint32_t addr, FetchStreamer* out);
+
   // Installs (or clears, with nullptr) the write snoop. Writes through
   // write()/load_image() that intersect the snoop's watch window invoke it
   // after the bytes land. Writes bypassing the bus — DirectSpan stores, a

@@ -82,6 +82,19 @@ struct DirectSpan {
   bool writable = false;
 };
 
+class Flash;
+
+// A flash's instruction-side prefetch streamer, handed to a core so it can
+// run the streamer protocol inline (Flash::stream_fetch) for instructions
+// it already decoded, and decode ahead from the side-effect-free
+// Flash::peek. Cycles and streamer statistics stay exactly those of real
+// fetch reads; only the route through the port and bus is skipped.
+struct FetchStreamer {
+  Flash* flash = nullptr;  // nullptr: no streamer
+  std::uint32_t base = 0;  // guest address of flash offset 0
+  std::uint32_t size = 0;  // bytes covered
+};
+
 // Abstract memory-mapped device. Addresses are device-relative; `size` is
 // 1, 2 or 4 and accesses are naturally aligned (the Bus enforces this).
 // `now` is the core's current cycle count, used by devices with background
@@ -128,6 +141,14 @@ class Device {
     (void)addr;
     (void)size;
     return std::nullopt;
+  }
+
+  // Fast-path opt-in for history-dependent instruction fetch timing: fills
+  // `out` (base left device-relative 0; the bus rebases it) when the device
+  // is a flash whose streamer prices fetches. Default: decline.
+  virtual bool fetch_streamer(FetchStreamer* out) {
+    (void)out;
+    return false;
   }
 };
 

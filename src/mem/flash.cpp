@@ -1,7 +1,5 @@
 #include "mem/flash.h"
 
-#include <algorithm>
-
 #include "support/bits.h"
 #include "support/check.h"
 
@@ -18,61 +16,12 @@ void Flash::reset_stream() {
   dstream_ = Stream{};
 }
 
-std::uint32_t Flash::stream_access(Stream& s, std::uint32_t addr,
-                                   unsigned size, std::uint64_t now) {
-  const std::uint32_t first = line_of(addr);
-  const std::uint32_t last = line_of(addr + size - 1);
-  const std::uint32_t t_line = config_.line_access_cycles;
-
-  if (!config_.prefetch_enabled) {
-    // Every access pays the full line time (per line touched).
-    return t_line * (last - first + 1);
-  }
-
-  std::uint32_t cycles = 0;
-  std::uint32_t line = first;
-  std::uint64_t t = now;
-  while (true) {
-    if (s.valid && line == s.line) {
-      // In the buffer.
-      cycles += 1;
-      t += 1;
-      ++stats_.stream_hits;
-    } else if (s.valid && line == s.line + 1) {
-      // The streamer is (or was) fetching this line in the background.
-      // Never worse than a fresh random access.
-      const std::uint64_t ready = s.next_line_ready;
-      const std::uint32_t wait =
-          ready > t ? static_cast<std::uint32_t>(ready - t) : 0;
-      const std::uint32_t cost = std::min(wait + 1, t_line);
-      cycles += cost;
-      t += cost;
-      s.line = line;
-      s.next_line_ready = t + t_line;
-      ++stats_.stream_next_line;
-    } else {
-      // Non-sequential: full access, stream repositioned.
-      cycles += t_line;
-      t += t_line;
-      s.valid = true;
-      s.line = line;
-      s.next_line_ready = t + t_line;
-      ++stats_.stream_breaks;
-    }
-    if (line == last) {
-      break;
-    }
-    ++line;
-  }
-  return cycles;
-}
-
 MemResult Flash::read(std::uint32_t addr, unsigned size, Access kind,
                       std::uint64_t now) {
   MemResult r;
   r.value = store_.read_le(addr, size);
   if (kind == Access::fetch) {
-    r.cycles = stream_access(istream_, addr, size, now);
+    r.cycles = stream_fetch(addr, size, now);
     return r;
   }
   // Data-side read (e.g. literal pool).

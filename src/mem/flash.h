@@ -16,6 +16,8 @@
 #ifndef ACES_MEM_FLASH_H
 #define ACES_MEM_FLASH_H
 
+#include <algorithm>
+
 #include "mem/device.h"
 #include "mem/storage.h"
 
@@ -52,15 +54,38 @@ class Flash final : public Device {
   //   - prefetch disabled: every access pays the full line time;
   //   - line_access_cycles == 1 (the "ideal memory" benchmarking regime):
   //     hit, next-line wait (min(wait+1, 1)) and break all cost 1 cycle.
-  // Everywhere else the cost depends on streamer history, so cached
-  // instructions must re-run the protocol.
+  // Everywhere else the cost depends on streamer history: fetch_streamer()
+  // answers instead, and cached instructions run the protocol inline.
   [[nodiscard]] std::optional<std::uint32_t> fixed_fetch_cost(
       std::uint32_t addr, unsigned size) const override {
-    if (config_.prefetch_enabled && config_.line_access_cycles != 1) {
+    if (!state_free()) {
       return std::nullopt;
     }
     return config_.line_access_cycles *
            (line_of(addr + size - 1) - line_of(addr) + 1);
+  }
+
+  // Hands the instruction streamer to a core outside the state-free
+  // regimes, which stay on fixed_fetch_cost.
+  bool fetch_streamer(FetchStreamer* out) override {
+    if (state_free()) {
+      return false;
+    }
+    out->flash = this;
+    out->size = store_.size();
+    return true;
+  }
+
+  // One instruction-side read through the streamer: exactly the timing and
+  // statistics of read(addr, size, Access::fetch, now), without the value.
+  std::uint32_t stream_fetch(std::uint32_t addr, unsigned size,
+                             std::uint64_t now) {
+    return stream_access(istream_, addr, size, now);
+  }
+
+  // The stored bytes, with no timing or streamer side effects.
+  [[nodiscard]] std::uint32_t peek(std::uint32_t addr, unsigned size) const {
+    return store_.read_le(addr, size);
   }
 
   // Statistics for the experiments.
@@ -87,10 +112,60 @@ class Flash final : public Device {
   [[nodiscard]] std::uint32_t line_of(std::uint32_t addr) const {
     return addr / config_.line_bytes;
   }
+  [[nodiscard]] bool state_free() const {
+    return !config_.prefetch_enabled || config_.line_access_cycles == 1;
+  }
 
-  // Runs the streamer protocol on `s`; returns cycles for this access.
+  // The streamer protocol, run on `s`; returns cycles for this access.
+  // Inline: the superblock tier charges streamed fetches through it.
   std::uint32_t stream_access(Stream& s, std::uint32_t addr, unsigned size,
-                              std::uint64_t now);
+                              std::uint64_t now) {
+    const std::uint32_t first = line_of(addr);
+    const std::uint32_t last = line_of(addr + size - 1);
+    const std::uint32_t t_line = config_.line_access_cycles;
+
+    if (!config_.prefetch_enabled) {
+      // Every access pays the full line time (per line touched).
+      return t_line * (last - first + 1);
+    }
+
+    std::uint32_t cycles = 0;
+    std::uint32_t line = first;
+    std::uint64_t t = now;
+    while (true) {
+      if (s.valid && line == s.line) {
+        // In the buffer.
+        cycles += 1;
+        t += 1;
+        ++stats_.stream_hits;
+      } else if (s.valid && line == s.line + 1) {
+        // The streamer is (or was) fetching this line in the background.
+        // Never worse than a fresh random access.
+        const std::uint64_t ready = s.next_line_ready;
+        const std::uint32_t wait =
+            ready > t ? static_cast<std::uint32_t>(ready - t) : 0;
+        const std::uint32_t cost = std::min(wait + 1, t_line);
+        cycles += cost;
+        t += cost;
+        s.line = line;
+        s.next_line_ready = t + t_line;
+        ++stats_.stream_next_line;
+      } else {
+        // Non-sequential: full access, stream repositioned.
+        cycles += t_line;
+        t += t_line;
+        s.valid = true;
+        s.line = line;
+        s.next_line_ready = t + t_line;
+        ++stats_.stream_breaks;
+      }
+      if (line == last) {
+        break;
+      }
+      ++line;
+    }
+    return cycles;
+  }
 
   FlashConfig config_;
   ByteStore store_;

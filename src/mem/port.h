@@ -20,10 +20,12 @@ class MemPort {
                                         std::uint32_t value,
                                         std::uint64_t now) = 0;
 
-  // Capability probe, so hot paths ask once instead of issuing doomed span
-  // lookups per access. Ports that interpose dynamic timing (caches) leave
-  // this false even though their backing bus could answer.
-  [[nodiscard]] virtual bool offers_direct_spans() const { return false; }
+  // Capability probe: true when the port adds no timing of its own, so the
+  // bus's direct_span / fixed_fetch_cost / fetch_streamer answers are the
+  // port's. Hot paths ask once instead of issuing doomed lookups per access.
+  // Ports that interpose dynamic timing (caches) leave this false even
+  // though their backing bus could answer.
+  [[nodiscard]] virtual bool transparent() const { return false; }
   // Bus::direct_span semantics (negative-cacheable mapping range on a
   // decline). Default: no span, no range.
   virtual bool direct_span(std::uint32_t addr, DirectSpan* out) {
@@ -39,6 +41,13 @@ class MemPort {
     (void)addr;
     (void)size;
     return std::nullopt;
+  }
+  // Bus::fetch_streamer semantics. Ports that interpose timing of their own
+  // (caches) must keep declining: the streamer is not what prices fetches.
+  virtual bool fetch_streamer(std::uint32_t addr, FetchStreamer* out) {
+    (void)addr;
+    *out = FetchStreamer{};
+    return false;
   }
 };
 
@@ -56,13 +65,16 @@ class DirectPort final : public MemPort {
     return bus_.write(addr, size, value, now);
   }
 
-  [[nodiscard]] bool offers_direct_spans() const override { return true; }
+  [[nodiscard]] bool transparent() const override { return true; }
   bool direct_span(std::uint32_t addr, DirectSpan* out) override {
     return bus_.direct_span(addr, out);
   }
   [[nodiscard]] std::optional<std::uint32_t> fixed_fetch_cost(
       std::uint32_t addr, unsigned size) override {
     return bus_.fixed_fetch_cost(addr, size);
+  }
+  bool fetch_streamer(std::uint32_t addr, FetchStreamer* out) override {
+    return bus_.fetch_streamer(addr, out);
   }
 
  private:

@@ -247,10 +247,9 @@ TEST(DecodeCache, InjectorFlipsInCodeKeepCachedAndUncachedIdentical) {
 
 // ----- snoop window precision ------------------------------------------------
 
-TEST(DecodeCache, DataStoresOutsideCodeWindowDoNotInvalidate) {
-  // The SMC snoop is range-filtered: a data-heavy loop must not thrash the
-  // decode cache. One invalidation comes from reset(); stores to SRAM data
-  // far from the (flash) code must add none.
+// A data-heavy loop in (default, streamer-backed) flash storing to SRAM far
+// from the code.
+Image flash_store_loop_image() {
   Assembler a(Encoding::b32, kFlashBase);
   a.load_literal(r1, kSramBase + 0x100);
   a.ins(ins_mov_imm(r2, 50, SetFlags::any));
@@ -261,14 +260,36 @@ TEST(DecodeCache, DataStoresOutsideCodeWindowDoNotInvalidate) {
   a.ins(ins_mov_imm(r0, 0, SetFlags::any));
   a.ins(ins_ret());
   a.pool();
-  const Image image = a.assemble();
+  return a.assemble();
+}
 
-  System sys(profiles::modern_mcu().flash_size(16 * 1024));
+TEST(DecodeCache, DataStoresOutsideCodeWindowDoNotInvalidate) {
+  // The SMC snoop is range-filtered: a data-heavy loop must not thrash the
+  // decode cache. One invalidation comes from reset(); stores to SRAM data
+  // far from the (flash) code must add none. Pinned to the per-instruction
+  // tier, whose hits are this test's subject (on the superblock tier the
+  // loop runs from blocks instead; see the twin below).
+  const Image image = flash_store_loop_image();
+  System sys(profiles::modern_mcu().flash_size(16 * 1024).dispatch_tier(
+      DispatchTier::per_insn));
   sys.load(image);
   (void)sys.call(image.base);
   const DecodeCache::Stats& s = sys.core().decode_cache()->stats();
   EXPECT_GT(s.hits, 100u);
   EXPECT_EQ(s.invalidations, 1u);  // the reset() safety net only
+}
+
+TEST(DecodeCache, DataStoresOutsideCodeWindowKillNoSuperblock) {
+  // The superblock twin: the same loop runs from streamer-backed blocks,
+  // and the stores must kill none of them.
+  const Image image = flash_store_loop_image();
+  System sys(profiles::modern_mcu().flash_size(16 * 1024));
+  sys.load(image);
+  (void)sys.call(image.base);
+  const Core::JitStats js = sys.core().jit_stats();
+  EXPECT_GT(js.block_instructions, 100u);
+  EXPECT_EQ(js.blocks_killed, 0u);
+  EXPECT_EQ(js.block_flushes, 1u);  // the reset() safety net only
 }
 
 }  // namespace

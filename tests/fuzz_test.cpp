@@ -11,6 +11,10 @@
 //    fixed point), for every codec.
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "cpu/system.h"
 #include "isa/codec.h"
 #include "isa/disasm.h"
@@ -344,15 +348,32 @@ TEST(KirFuzz, CachedAndUncachedRunsRetireIdenticalTraces) {
 
 // The same property, one tier up: all three dispatch tiers — uncached
 // reference, per-instruction decode cache, and the threaded superblock
-// dispatcher — must retire identical (pc, cycles) traces step by step. A
-// seeded invalidation storm flushes the cached tiers' decoded state at
-// random instants mid-run; a flush may cost host work but must never move a
-// guest-visible cycle. The final assertion proves the superblock tier
-// actually engaged (blocks formed and retired instructions) rather than
-// trivially passing by falling back to per-instruction execution.
+// dispatcher — must retire identical (pc, cycles) traces step by step, and
+// in the streamer regimes leave identical flash statistics. The sweep
+// covers the ideal 1-cycle flash and the streamer regimes (2, 3 and 5 wait
+// states), the latter also with a dual-buffer controller and with
+// legacy_hp timings (early-terminating multiply). A seeded invalidation storm flushes the
+// cached tiers' decoded state at random instants mid-run; a flush may cost
+// host work but must never move a guest-visible cycle. The final assertions
+// prove the superblock tier actually engaged (blocks formed and retired
+// instructions) in every regime rather than trivially passing by falling
+// back to per-instruction execution.
 TEST(KirFuzz, AllDispatchTiersRetireIdenticalTraces) {
+  struct Regime {
+    std::uint32_t flash_wait;
+    bool dual_buffer;
+    bool legacy_timings;
+  };
+  std::vector<Regime> regimes = {{1, false, false}};
+  for (const std::uint32_t wait : {2u, 3u, 5u}) {
+    for (const bool dual : {false, true}) {
+      for (const bool legacy : {false, true}) {
+        regimes.push_back({wait, dual, legacy});
+      }
+    }
+  }
+  std::vector<std::uint64_t> block_instructions(regimes.size(), 0);
   support::Rng256 rng(0x5B0C);
-  std::uint64_t block_instructions = 0;
   for (int trial = 0; trial < 10; ++trial) {
     const KFunction f = generate(rng, trial);
     std::uint32_t args[4];
@@ -361,18 +382,27 @@ TEST(KirFuzz, AllDispatchTiersRetireIdenticalTraces) {
     }
     for (const Encoding enc :
          {Encoding::w32, Encoding::n16, Encoding::b32}) {
-      for (const std::uint32_t flash_wait : {1u, 5u}) {
-        const kir::LoweredProgram prog =
-            kir::lower_program({&f}, enc, cpu::kFlashBase);
+      const kir::LoweredProgram prog =
+          kir::lower_program({&f}, enc, cpu::kFlashBase);
+      for (std::size_t ri = 0; ri < regimes.size(); ++ri) {
+        const Regime& rg = regimes[ri];
         const auto builder = [&](std::uint32_t cache_lines,
                                  cpu::DispatchTier tier) {
           return cpu::SystemBuilder()
               .encoding(enc)
+              .timings(rg.legacy_timings ? cpu::CoreTimings::legacy_hp()
+                                         : cpu::CoreTimings::modern_mcu())
               .flash_size(256 * 1024)
-              .flash_wait(flash_wait)
+              .flash_wait(rg.flash_wait)
+              .flash_dual_buffer(rg.dual_buffer)
               .decode_cache_lines(cache_lines)
               .dispatch_tier(tier);
         };
+        std::ostringstream where_os;
+        where_os << f.name() << " on " << isa::encoding_name(enc) << " wait "
+                 << rg.flash_wait << (rg.dual_buffer ? " dual" : "")
+                 << (rg.legacy_timings ? " legacy" : "");
+        const std::string where = where_os.str();
         cpu::System reference(builder(0, cpu::DispatchTier::off));
         cpu::System per_insn(builder(1024, cpu::DispatchTier::per_insn));
         cpu::System sblock(builder(1024, cpu::DispatchTier::superblock));
@@ -399,31 +429,46 @@ TEST(KirFuzz, AllDispatchTiersRetireIdenticalTraces) {
           const bool a = reference.core().step();
           const bool b = per_insn.core().step();
           const bool c = sblock.core().step();
-          ASSERT_EQ(a, b) << f.name() << " step " << step;
-          ASSERT_EQ(a, c) << f.name() << " step " << step;
+          ASSERT_EQ(a, b) << where << " step " << step;
+          ASSERT_EQ(a, c) << where << " step " << step;
           for (cpu::System* sys : {&per_insn, &sblock}) {
             ASSERT_EQ(sys->core().pc(), reference.core().pc())
-                << f.name() << " on " << isa::encoding_name(enc) << " wait "
-                << flash_wait << " step " << step;
+                << where << " step " << step;
             ASSERT_EQ(sys->core().cycles(), reference.core().cycles())
-                << f.name() << " on " << isa::encoding_name(enc) << " wait "
-                << flash_wait << " step " << step;
+                << where << " step " << step;
           }
           if (!a) {
             break;
           }
         }
+        const mem::Flash::Stats& want = reference.flash().stats();
         for (cpu::System* sys : systems) {
           ASSERT_EQ(sys->core().halt_reason(), cpu::HaltReason::exited)
-              << f.name();
+              << where;
           ASSERT_EQ(sys->core().reg(isa::r0), reference.core().reg(isa::r0));
+          if (rg.flash_wait == 1) {
+            // State-free regime: fixed-cost hits skip the streamer's
+            // bookkeeping counters by design (see decode_cache.h).
+            continue;
+          }
+          const mem::Flash::Stats& got = sys->flash().stats();
+          EXPECT_EQ(got.stream_hits, want.stream_hits) << where;
+          EXPECT_EQ(got.stream_next_line, want.stream_next_line) << where;
+          EXPECT_EQ(got.stream_breaks, want.stream_breaks) << where;
+          EXPECT_EQ(got.data_disruptions, want.data_disruptions) << where;
         }
-        block_instructions += sblock.core().jit_stats().block_instructions;
+        block_instructions[ri] += sblock.core().jit_stats().block_instructions;
       }
     }
   }
-  // The property is vacuous if the superblock tier never ran a block.
-  EXPECT_GT(block_instructions, 0u);
+  // The property is vacuous in any regime where the superblock tier never
+  // ran a block.
+  for (std::size_t ri = 0; ri < regimes.size(); ++ri) {
+    EXPECT_GT(block_instructions[ri], 0u)
+        << "wait " << regimes[ri].flash_wait << " dual "
+        << regimes[ri].dual_buffer << " legacy "
+        << regimes[ri].legacy_timings;
+  }
 }
 
 // ----- 3. decode fuzz ----------------------------------------------------------

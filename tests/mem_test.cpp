@@ -6,6 +6,7 @@
 #include "mem/fault_injector.h"
 #include "mem/flash.h"
 #include "mem/mpu.h"
+#include "mem/port.h"
 #include "mem/sram.h"
 #include "mem/tcm.h"
 
@@ -201,6 +202,62 @@ TEST(Bus, FixedFetchCostRegimes) {
   // Unmapped / out of range: no answer.
   EXPECT_EQ(bus.fixed_fetch_cost(0x9000, 4), std::nullopt);
   EXPECT_EQ(bus.fixed_fetch_cost(0x10FE, 4), std::nullopt);
+}
+
+TEST(Bus, FetchStreamerOnlyWhereFetchCostIsStateful) {
+  Bus bus;
+  Sram a("a", 0x100, 1);
+  Flash ideal(FlashConfig{.size_bytes = 0x100, .line_access_cycles = 1});
+  Flash slow(FlashConfig{.size_bytes = 0x100, .line_access_cycles = 5});
+  FlashConfig no_prefetch{.size_bytes = 0x100, .line_access_cycles = 5};
+  no_prefetch.prefetch_enabled = false;
+  Flash raw(no_prefetch);
+  bus.attach(0x1000, a);
+  bus.attach(0x3000, ideal);
+  bus.attach(0x4000, slow);
+  bus.attach(0x5000, raw);
+
+  // The streamer is handed over, rebased, exactly where fixed_fetch_cost
+  // declines; the state-free regimes and other devices keep their price.
+  FetchStreamer s;
+  ASSERT_TRUE(bus.fetch_streamer(0x4010, &s));
+  EXPECT_EQ(s.flash, &slow);
+  EXPECT_EQ(s.base, 0x4000u);
+  EXPECT_EQ(s.size, 0x100u);
+  for (const std::uint32_t addr : {0x1000u, 0x3000u, 0x5000u, 0x9000u}) {
+    EXPECT_FALSE(bus.fetch_streamer(addr, &s)) << std::hex << addr;
+    EXPECT_EQ(s.flash, nullptr);
+  }
+
+  // Driving the streamer inline is the real fetch, minus the value; a peek
+  // is neither.
+  const std::uint8_t img[] = {0x11, 0x22, 0x33, 0x44};
+  ASSERT_TRUE(bus.load_image(0x4000, img, 4));
+  Flash twin(FlashConfig{.size_bytes = 0x100, .line_access_cycles = 5});
+  EXPECT_EQ(slow.peek(0, 4), 0x44332211u);
+  for (const std::uint32_t off : {0u, 2u, 4u, 8u, 6u, 0x40u}) {
+    const std::uint64_t now = 10 * off;
+    EXPECT_EQ(slow.stream_fetch(off, 2, now),
+              twin.read(off, 2, Access::fetch, now).cycles);
+  }
+  EXPECT_EQ(slow.stats().stream_hits, twin.stats().stream_hits);
+  EXPECT_EQ(slow.stats().stream_next_line, twin.stats().stream_next_line);
+  EXPECT_EQ(slow.stats().stream_breaks, twin.stats().stream_breaks);
+}
+
+TEST(Cache, DeclinesFetchStreamer) {
+  Bus bus;
+  Flash slow(FlashConfig{.size_bytes = 0x1000, .line_access_cycles = 5});
+  bus.attach(0, slow);
+  Cache icache(CacheConfig{}, bus);
+  DirectPort direct(bus);
+  FetchStreamer s;
+  EXPECT_TRUE(direct.fetch_streamer(0x10, &s));
+  EXPECT_EQ(s.flash, &slow);
+  EXPECT_FALSE(icache.fetch_streamer(0x10, &s));
+  EXPECT_EQ(s.flash, nullptr);
+  EXPECT_TRUE(direct.transparent());
+  EXPECT_FALSE(icache.transparent());
 }
 
 TEST(Bus, LoadImageProgramsDevices) {

@@ -1,8 +1,9 @@
 // Superblock tier: formation/termination rules, every invalidation source
 // (guest stores splitting a live block, FlashPatch remaps, MPU execute
-// revocation), interrupt delivery instants, and byte-identity against the
-// uncached reference tier. The randomized counterpart lives in
-// fuzz_test.cpp (three-way tier differential).
+// revocation), interrupt delivery instants, byte-identity against the
+// uncached reference tier, and the same boundaries on default wait-stated
+// flash, where blocks charge the prefetch streamer inline. The randomized
+// counterpart lives in fuzz_test.cpp (three-way tier differential).
 #include <gtest/gtest.h>
 
 #include "cpu/fpb.h"
@@ -25,10 +26,25 @@ using isa::Op;
 using isa::SetFlags;
 using namespace isa;  // r0..r15
 
-// 1-cycle flash is the fixed-fetch-cost regime superblocks may chain in
-// (the default 5-cycle streamer is stateful, so formation would decline).
+// 1-cycle flash: the fixed-fetch-cost regime, where every entry's fetch is
+// a constant.
 SystemBuilder mcu() {
   return profiles::modern_mcu().flash_size(64 * 1024).flash_wait(1);
+}
+
+// The default flash: 5 wait states behind the prefetch streamer, whose
+// protocol the superblock tier runs inline per entry.
+SystemBuilder streamer_mcu() {
+  return profiles::modern_mcu().flash_size(64 * 1024);
+}
+
+void expect_same_flash_stats(System& got, System& want) {
+  const mem::Flash::Stats& g = got.flash().stats();
+  const mem::Flash::Stats& w = want.flash().stats();
+  EXPECT_EQ(g.stream_hits, w.stream_hits);
+  EXPECT_EQ(g.stream_next_line, w.stream_next_line);
+  EXPECT_EQ(g.stream_breaks, w.stream_breaks);
+  EXPECT_EQ(g.data_disruptions, w.data_disruptions);
 }
 
 std::uint16_t encode_halfword(const Instruction& insn) {
@@ -298,7 +314,8 @@ struct IrqRig {
   }
 };
 
-TEST(Superblock, IrqMidBlockDeliversAtSameInstantAsReferenceTier) {
+// A 13-entry straight-line loop plus a mailbox-incrementing handler.
+Image irq_loop_image(std::uint32_t* handler_pc) {
   Assembler a(Encoding::b32, kFlashBase);
   a.ins(ins_mov_imm(r0, 0, SetFlags::any));
   const Label top = a.bound_label();  // long straight-line block
@@ -315,31 +332,58 @@ TEST(Superblock, IrqMidBlockDeliversAtSameInstantAsReferenceTier) {
   a.ins(ins_ret());  // exception return
   a.pool();
   const Image image = a.assemble();
-  const std::uint32_t handler_pc = a.label_address(handler);
+  *handler_pc = a.label_address(handler);
+  return image;
+}
 
-  // Fire instants chosen to land mid-block (the block is 13 entries long),
-  // at a block boundary, and deep into a later iteration.
-  for (const std::uint64_t fire_at : {37u, 64u, 301u}) {
-    IrqRig sblock(mcu(), image, handler_pc, fire_at);
-    IrqRig reference(mcu().decode_cache_lines(0), image, handler_pc, fire_at);
-    ASSERT_EQ(sblock.sys.core().dispatch_tier(), DispatchTier::superblock);
-    ASSERT_EQ(reference.sys.core().dispatch_tier(), DispatchTier::off);
-    for (int step = 0; step < 600; ++step) {
-      ASSERT_TRUE(sblock.sys.core().step());
-      ASSERT_TRUE(reference.sys.core().step());
-      ASSERT_EQ(sblock.sys.core().pc(), reference.sys.core().pc())
-          << "fire_at " << fire_at << " step " << step;
-      ASSERT_EQ(sblock.sys.core().cycles(), reference.sys.core().cycles())
-          << "fire_at " << fire_at << " step " << step;
+TEST(Superblock, IrqMidBlockDeliversAtSameInstantAsReferenceTier) {
+  std::uint32_t handler_pc = 0;
+  const Image image = irq_loop_image(&handler_pc);
+  // 1-cycle flash against the uncached reference tier; the default
+  // streamer flash against the per-instruction tier, which replays every
+  // fetch through the port while blocks run the streamer inline.
+  // (The 1-cycle regime's fixed-cost hits skip the streamer's bookkeeping
+  // counters by design, so only the streamer regime compares them.)
+  struct Regime {
+    SystemBuilder sblock;
+    SystemBuilder reference;
+    bool streamer;
+  };
+  const Regime regimes[] = {
+      {mcu(), mcu().decode_cache_lines(0), false},
+      {streamer_mcu(), streamer_mcu().dispatch_tier(DispatchTier::per_insn),
+       true},
+  };
+  for (const Regime& rg : regimes) {
+    // Fire instants chosen to land mid-block (the block is 13 entries
+    // long), at a block boundary, and deep into a later iteration.
+    for (const std::uint64_t fire_at : {37u, 64u, 101u, 301u}) {
+      IrqRig sblock(rg.sblock, image, handler_pc, fire_at);
+      IrqRig reference(rg.reference, image, handler_pc, fire_at);
+      ASSERT_EQ(sblock.sys.core().dispatch_tier(), DispatchTier::superblock);
+      for (int step = 0; step < 600; ++step) {
+        ASSERT_TRUE(sblock.sys.core().step());
+        ASSERT_TRUE(reference.sys.core().step());
+        ASSERT_EQ(sblock.sys.core().pc(), reference.sys.core().pc())
+            << "fire_at " << fire_at << " step " << step;
+        ASSERT_EQ(sblock.sys.core().cycles(), reference.sys.core().cycles())
+            << "fire_at " << fire_at << " step " << step;
+      }
+      // Both tiers entered the handler exactly once (the mailbox increment
+      // proves it ran to completion), raised at the same instant with the
+      // same latency: the same delivery cycle.
+      ASSERT_EQ(sblock.ivc.latencies(1).size(), 1u);
+      EXPECT_EQ(sblock.ivc.latencies(1), reference.ivc.latencies(1));
+      EXPECT_EQ(reference.ivc.stats().entries, 1u);
+      EXPECT_EQ(
+          sblock.sys.bus().read(kSramBase + 0x100, 4, mem::Access::read, 0)
+              .value,
+          1u);
+      if (rg.streamer) {
+        expect_same_flash_stats(sblock.sys, reference.sys);
+      }
+      EXPECT_GT(sblock.sys.core().jit_stats().block_instructions, 0u);
     }
-    // Both tiers entered the handler exactly once (the mailbox increment
-    // proves it ran to completion); the lock-step pc/cycles equality above
-    // pins the delivery to the same instant.
-    EXPECT_EQ(sblock.ivc.stats().entries, 1u);
-    EXPECT_EQ(reference.ivc.stats().entries, 1u);
-    EXPECT_EQ(sblock.sys.bus().read(kSramBase + 0x100, 4, mem::Access::read, 0)
-                  .value,
-              1u);
   }
 }
 
@@ -387,6 +431,216 @@ TEST(Superblock, LongRunMatchesReferenceTierExactly) {
   EXPECT_EQ(r0v[0], r0v[1]);
   EXPECT_EQ(r0v[0], 1000u);  // 250 odd passes * 3 + 250 even * 1
   EXPECT_GT(sblock.core().jit_stats().block_instructions, 3000u);
+}
+
+// ----- default wait-stated flash: the streamer charged inline ---------------
+// Each case runs the superblock tier against the per-instruction tier,
+// which replays every fetch through the port, and demands identical cycles
+// and identical streamer statistics.
+
+TEST(Superblock, StreamerCycleLimitParksMidBlockAndResumes) {
+  Assembler a(Encoding::b32, kFlashBase);
+  a.ins(ins_mov_imm(r0, 0, SetFlags::any));
+  a.ins(ins_mov_imm(r1, 200, SetFlags::any));
+  const Label top = a.bound_label();
+  for (int k = 0; k < 10; ++k) {
+    a.ins(ins_rri(Op::add, r0, r0, 1, SetFlags::any));
+  }
+  a.ins(ins_rri(Op::sub, r1, r1, 1, SetFlags::yes));
+  const Label back = a.bound_label();
+  a.b(top, Cond::ne);
+  a.ins(ins_ret());
+  const Image image = a.assemble();
+
+  System sblock(streamer_mcu());
+  System per_insn(streamer_mcu().dispatch_tier(DispatchTier::per_insn));
+  for (System* sys : {&sblock, &per_insn}) {
+    sys->load(image);
+    sys->core().reset(image.base, sys->initial_sp());
+  }
+  // Cycle limits 7 apart land all over the 12-entry block.
+  int mid_block_parks = 0;
+  HaltReason r = HaltReason::none;
+  for (std::uint64_t limit = 7; r == HaltReason::none; limit += 7) {
+    r = sblock.core().run_chunk(~std::uint64_t{0}, limit);
+    ASSERT_EQ(per_insn.core().run_chunk(~std::uint64_t{0}, limit), r);
+    ASSERT_EQ(sblock.core().pc(), per_insn.core().pc()) << "limit " << limit;
+    ASSERT_EQ(sblock.core().cycles(), per_insn.core().cycles());
+    ASSERT_EQ(sblock.core().instructions(), per_insn.core().instructions());
+    const std::uint32_t pc = sblock.core().pc();
+    if (pc > a.label_address(top) && pc <= a.label_address(back)) {
+      ++mid_block_parks;
+    }
+  }
+  EXPECT_EQ(r, HaltReason::exited);
+  EXPECT_EQ(sblock.core().reg(r0), 2000u);
+  EXPECT_GT(mid_block_parks, 10);
+  EXPECT_GT(sblock.core().jit_stats().block_instructions, 2000u);
+  expect_same_flash_stats(sblock, per_insn);
+}
+
+TEST(Superblock, StreamerLiteralLoadInsideBlockDisruptsLikePerInsn) {
+  // A literal-pool load is a flash data read that repositions the
+  // instruction streamer (§2.2); inside a block it runs through the generic
+  // funnel, after the entry's own fetch, exactly as per-insn orders them.
+  Assembler a(Encoding::b32, kFlashBase);
+  a.ins(ins_mov_imm(r0, 0, SetFlags::any));
+  a.ins(ins_mov_imm(r1, 100, SetFlags::any));
+  const Label top = a.bound_label();
+  a.ins(ins_rri(Op::add, r0, r0, 1, SetFlags::any));
+  a.load_literal(r2, 0x1234'5678u);
+  a.ins(ins_rrr(Op::eor, r0, r0, r2, SetFlags::any));
+  a.ins(ins_rri(Op::sub, r1, r1, 1, SetFlags::yes));
+  a.b(top, Cond::ne);
+  a.ins(ins_ret());
+  a.pool();
+  const Image image = a.assemble();
+
+  System sblock(streamer_mcu());
+  System per_insn(streamer_mcu().dispatch_tier(DispatchTier::per_insn));
+  for (System* sys : {&sblock, &per_insn}) {
+    sys->load(image);
+    sys->core().reset(image.base, sys->initial_sp());
+    ASSERT_EQ(sys->core().run(100'000), HaltReason::exited);
+  }
+  EXPECT_EQ(sblock.core().reg(r0), per_insn.core().reg(r0));
+  EXPECT_EQ(sblock.core().cycles(), per_insn.core().cycles());
+  expect_same_flash_stats(sblock, per_insn);
+  EXPECT_GE(sblock.flash().stats().data_disruptions, 100u);
+
+  SuperblockCache::Block* b =
+      sblock.core().superblock_cache()->lookup(a.label_address(top), true);
+  ASSERT_NE(b, nullptr);
+  ASSERT_EQ(b->entries.size(), 5u);
+  EXPECT_EQ(b->entries[1].d.insn.op, Op::ldr);
+  EXPECT_TRUE(b->entries[1].streamed());
+  EXPECT_GT(sblock.core().jit_stats().block_instructions, 400u);
+}
+
+TEST(Superblock, StreamerTwoReadFetchStraddlingALine) {
+  // A 32-bit B32 instruction at line offset 6 of the 8-byte flash line: its
+  // second halfword is the next line's first access, issued at the first
+  // read's completion cycle.
+  Assembler a(Encoding::b32, kFlashBase);
+  a.ins(ins_mov_imm(r0, 0, SetFlags::any));
+  a.ins(ins_mov_imm(r1, 50, SetFlags::any));
+  const Label top = a.bound_label();
+  Instruction nop;
+  nop.op = Op::nop;
+  a.ins(nop);
+  const Label wide = a.bound_label();
+  a.ins(ins_rri(Op::add, r0, r0, 1000, SetFlags::any));
+  a.ins(ins_rri(Op::sub, r1, r1, 1, SetFlags::yes));
+  a.b(top, Cond::ne);
+  a.ins(ins_ret());
+  const Image image = a.assemble();
+  ASSERT_EQ(a.label_address(wide) % 8, 6u);
+
+  System sblock(streamer_mcu());
+  System per_insn(streamer_mcu().dispatch_tier(DispatchTier::per_insn));
+  for (System* sys : {&sblock, &per_insn}) {
+    sys->load(image);
+    sys->core().reset(image.base, sys->initial_sp());
+    ASSERT_EQ(sys->core().run(100'000), HaltReason::exited);
+  }
+  EXPECT_EQ(sblock.core().reg(r0), 50'000u);
+  EXPECT_EQ(sblock.core().cycles(), per_insn.core().cycles());
+  expect_same_flash_stats(sblock, per_insn);
+
+  SuperblockCache::Block* b =
+      sblock.core().superblock_cache()->lookup(a.label_address(top), true);
+  ASSERT_NE(b, nullptr);
+  ASSERT_EQ(b->entries.size(), 4u);
+  EXPECT_EQ(b->entries[1].pc, a.label_address(wide));
+  EXPECT_EQ(b->entries[1].d.size, 4);
+  EXPECT_TRUE(b->entries[1].streamed());
+  EXPECT_TRUE(b->entries[0].streamed());
+}
+
+TEST(Superblock, StreamerLoadImageReprogramsBlock) {
+  Assembler a(Encoding::b32, kFlashBase);
+  a.ins(ins_mov_imm(r0, 1, SetFlags::any));
+  const Label patch_at = a.bound_label();
+  a.ins(ins_rri(Op::add, r0, r0, 2, SetFlags::any));
+  a.ins(ins_rri(Op::add, r0, r0, 4, SetFlags::any));
+  a.ins(ins_ret());
+  const Image image = a.assemble();
+  const std::uint16_t add7 =
+      encode_halfword(ins_rri(Op::add, r0, r0, 7, SetFlags::any));
+  const std::uint8_t bytes[2] = {static_cast<std::uint8_t>(add7),
+                                 static_cast<std::uint8_t>(add7 >> 8)};
+
+  System sblock(streamer_mcu());
+  System per_insn(streamer_mcu().dispatch_tier(DispatchTier::per_insn));
+  for (System* sys : {&sblock, &per_insn}) {
+    sys->load(image);
+    EXPECT_EQ(sys->call(image.base), 7u);
+    // Flash reprogramming between calls: the bus write snoop must kill the
+    // streamer-backed block chained over these bytes.
+    ASSERT_TRUE(sys->bus().load_image(a.label_address(patch_at), bytes, 2));
+    EXPECT_EQ(sys->call(image.base), 12u);
+  }
+  EXPECT_EQ(sblock.core().cycles(), per_insn.core().cycles());
+  expect_same_flash_stats(sblock, per_insn);
+  const Core::JitStats js = sblock.core().jit_stats();
+  EXPECT_GE(js.blocks_killed, 1u);
+  EXPECT_GE(js.block_splits, 1u);
+  EXPECT_GE(js.blocks_formed, 2u);
+}
+
+TEST(Superblock, StreamerFpbPatchOverBlockServesFromPatchRam) {
+  Assembler a(Encoding::b32, kFlashBase);
+  a.ins(ins_mov_imm(r0, 0, SetFlags::any));
+  a.load_literal(r1, 4000);
+  const Label top = a.bound_label();
+  a.ins(ins_rri(Op::add, r0, r0, 1, SetFlags::any));
+  const Label patched = a.bound_label();
+  a.ins(ins_rri(Op::add, r0, r0, 1, SetFlags::any));
+  a.ins(ins_rri(Op::sub, r1, r1, 1, SetFlags::yes));
+  a.b(top, Cond::ne);
+  a.ins(ins_ret());
+  a.pool();
+  const Image image = a.assemble();
+
+  System sblock(streamer_mcu());
+  System per_insn(streamer_mcu().dispatch_tier(DispatchTier::per_insn));
+  FlashPatchUnit fpbs[2];
+  int k = 0;
+  for (System* sys : {&sblock, &per_insn}) {
+    sys->load(image);
+    sys->core().set_flash_patch(&fpbs[k++]);
+    sys->core().reset(image.base, sys->initial_sp());
+    ASSERT_EQ(sys->core().run(5'000), HaltReason::insn_limit);
+  }
+  ASSERT_EQ(sblock.core().cycles(), per_insn.core().cycles());
+  ASSERT_GT(sblock.core().jit_stats().block_instructions, 0u);
+
+  // Patch the second add (mid-block) to add 3: served from patch RAM in a
+  // fixed cycle, it sits in the re-formed block between streamed entries.
+  FlashPatchUnit::Patch patch;
+  patch.breakpoint = false;
+  patch.replacement = ins_rri(Op::add, r0, r0, 3, SetFlags::any);
+  patch.replacement_size = 2;
+  for (FlashPatchUnit& fpb : fpbs) {
+    fpb.set_patch(0, a.label_address(patched), patch);
+  }
+  for (System* sys : {&sblock, &per_insn}) {
+    ASSERT_EQ(sys->core().run(100'000), HaltReason::exited);
+  }
+  EXPECT_EQ(sblock.core().reg(r0), per_insn.core().reg(r0));
+  EXPECT_GT(sblock.core().reg(r0), 8000u);
+  EXPECT_EQ(sblock.core().cycles(), per_insn.core().cycles());
+  expect_same_flash_stats(sblock, per_insn);
+  EXPECT_GE(sblock.core().jit_stats().block_flushes, 2u);
+
+  SuperblockCache::Block* b =
+      sblock.core().superblock_cache()->lookup(a.label_address(top), true);
+  ASSERT_NE(b, nullptr);
+  ASSERT_EQ(b->entries.size(), 4u);
+  EXPECT_TRUE(b->entries[0].streamed());
+  EXPECT_FALSE(b->entries[1].streamed());
+  EXPECT_EQ(b->entries[1].fetch_cycles, 1u);
+  EXPECT_TRUE(b->entries[2].streamed());
 }
 
 }  // namespace
