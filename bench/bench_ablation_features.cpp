@@ -1,9 +1,10 @@
 // E11 — ablation of the blended encoding's feature set.
 //
-// DESIGN.md calls out five B32 features the paper motivates individually:
-// movw/movt (§2.2), bitfield ops (§2.1), hardware divide (§2.1), IT blocks
-// (§2.3) and cbz. Each is disabled in isolation and the suite re-measured;
-// the delta attributes the B32 advantage to its mechanisms.
+// The paper motivates five B32 features individually (see "Reproducing
+// the paper" in README.md): movw/movt (§2.2), bitfield ops (§2.1),
+// hardware divide (§2.1), IT blocks (§2.3) and cbz. Each is disabled in
+// isolation and the suite re-measured; the delta attributes the B32
+// advantage to its mechanisms.
 #include "bench_util.h"
 
 using namespace aces;

@@ -19,14 +19,9 @@
 //
 //   bench_campaign [--variants N] [--horizon-ms M] [--json PATH]
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <string>
-#include <thread>
 
+#include "bench_util.h"
 #include "campaign/presets.h"
-#include "campaign/runner.h"
-#include "support/check.h"
 
 using namespace aces;
 using campaign::CampaignResult;
@@ -34,12 +29,6 @@ using campaign::CampaignRunner;
 using campaign::ScenarioSpec;
 
 namespace {
-
-CampaignResult run_with(const ScenarioSpec& spec, unsigned workers) {
-  CampaignRunner::Config cfg;
-  cfg.workers = workers;
-  return CampaignRunner(cfg).run(spec);
-}
 
 void print_summary(const CampaignResult& r) {
   std::printf("%-12s %8s %10s %10s %10s %10s %8s\n", "path", "frames",
@@ -69,77 +58,26 @@ void print_summary(const CampaignResult& r) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::size_t want_variants = 1008;
-  sim::SimTime horizon = 250 * sim::kMillisecond;
-  const char* json_path = nullptr;
-  for (int k = 1; k < argc; ++k) {
-    if (std::strcmp(argv[k], "--json") == 0 && k + 1 < argc) {
-      json_path = argv[++k];
-    } else if (std::strcmp(argv[k], "--variants") == 0 && k + 1 < argc) {
-      want_variants = static_cast<std::size_t>(std::atoll(argv[++k]));
-    } else if (std::strcmp(argv[k], "--horizon-ms") == 0 && k + 1 < argc) {
-      horizon = std::atoll(argv[++k]) * sim::kMillisecond;
-    }
-  }
+  const bench::Args args{argc, argv};
+  const char* json_path = args.get("--json");
+  const auto want_variants =
+      static_cast<std::size_t>(args.num("--variants", 1008));
+  const sim::SimTime horizon =
+      args.num("--horizon-ms", 250) * sim::kMillisecond;
 
   ScenarioSpec spec = campaign::presets::vehicle_spec(horizon);
-  const std::size_t grid = spec.variant_count();  // replicates == 1 here
-  spec.replicates = static_cast<std::uint32_t>(
-      std::max<std::size_t>(1, (want_variants + grid - 1) / grid));
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-
-  std::printf("=== E12: campaign engine — %zu variants (%zu-point grid x %u "
-              "replicates), horizon %lld ms, hw threads %u ===\n",
-              spec.variant_count(), grid, spec.replicates,
-              static_cast<long long>(horizon / sim::kMillisecond), hw);
-
-  // --- worker scaling on a subset, determinism checked across counts -----
-  ScenarioSpec subset = spec;
-  subset.replicates = std::max(1u, std::min(spec.replicates, 4u));
-  std::string scaling_json = "[";
-  std::string reference;
-  bool first = true;
-  for (unsigned w : {1u, 2u, hw}) {
-    const CampaignResult r = run_with(subset, w);
-    const std::string deterministic = r.to_json(/*with_timing=*/false);
-    if (reference.empty()) {
-      reference = deterministic;
-    } else {
-      ACES_CHECK_MSG(deterministic == reference,
-                     "deterministic report differs across worker counts");
-    }
-    std::printf("scaling: workers %2u -> %6.2f s (%.1f variants/s)\n", w,
-                r.wall_seconds, r.variants_per_second);
-    char buf[128];
-    std::snprintf(buf, sizeof buf,
-                  "%s\n    {\"workers\": %u, \"wall_seconds\": %.3f, "
-                  "\"variants_per_second\": %.1f}",
-                  first ? "" : ",", r.workers, r.wall_seconds,
-                  r.variants_per_second);
-    scaling_json += buf;
-    first = false;
-    if (w >= hw) {
-      break;
-    }
-  }
-  scaling_json += "\n  ]";
-  std::printf("scaling subset deterministic report: byte-identical across "
-              "worker counts (%zu variants)\n", subset.variant_count());
+  support::JsonWriter json;
+  bench::open_campaign_bench("bench_campaign", "E12: campaign engine", spec,
+                             want_variants, {}, json);
 
   // --- the full campaign -------------------------------------------------
-  const CampaignResult full = run_with(spec, hw);
+  const CampaignResult full = CampaignRunner().run(spec);
   print_summary(full);
 
   // Soundness: a fault-free variant must never beat its analytic bound.
   std::uint64_t fault_free = 0;
   for (const auto& v : full.variants) {
-    bool no_faults = true;
-    for (const auto& [name, value] : v.params) {
-      if (name == "error_period_ns" && value != 0.0) {
-        no_faults = false;
-      }
-    }
-    if (!no_faults) {
+    if (bench::axis_of(v, "error_period_ns") != 0.0) {
       continue;
     }
     ++fault_free;
@@ -153,28 +91,16 @@ int main(int argc, char** argv) {
 
   // Replay: the first violating variant must reproduce bit-identically.
   if (const auto* v = full.first_violating()) {
-    const auto replayed = CampaignRunner().replay(spec, v->index, v->seed);
-    ACES_CHECK_MSG(replayed.fingerprint == v->fingerprint,
-                   "replayed variant fingerprint differs from the campaign");
-    std::printf("replay: variant %u (seed %llu) reproduced fingerprint "
-                "%016llx\n", v->index,
-                static_cast<unsigned long long>(v->seed),
-                static_cast<unsigned long long>(v->fingerprint));
+    bench::check_replay(spec, *v);
   } else {
     std::printf("replay: no violating variant to replay\n");
   }
 
   if (json_path != nullptr) {
-    std::string json = "{\n  \"bench\": \"bench_campaign\",\n";
-    json += "  \"scaling\": " + scaling_json + ",\n";
-    json += "  \"campaign\": " + full.to_json(/*with_timing=*/true);
-    // to_json ends with "}\n"; splice it into the wrapper.
-    json.erase(json.size() - 1);
-    json += "\n}\n";
-    std::FILE* f = std::fopen(json_path, "w");
-    ACES_CHECK_MSG(f != nullptr, "cannot open --json output path");
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
+    json.key("campaign");
+    full.write_json(json, /*with_timing=*/true);
+    json.end();
+    support::write_json_file(json_path, json);
     std::printf("wrote %s\n", json_path);
   }
   return 0;

@@ -12,7 +12,6 @@
 // error term at one bit error per 10 ms). The human-readable stdout is
 // unchanged by the flag.
 #include <cstdio>
-#include <cstring>
 #include <string>
 
 #include "bench_util.h"
@@ -63,18 +62,12 @@ constexpr SimTime kTError = 10 * kMillisecond;
 }  // namespace
 
 int main(int argc, char** argv) {
-  const char* json_path = nullptr;
-  for (int k = 1; k < argc; ++k) {
-    if (std::strcmp(argv[k], "--json") == 0 && k + 1 < argc) {
-      json_path = argv[k + 1];
-    }
-  }
+  const char* json_path = Args{argc, argv}.get("--json");
 
-  std::string json = "{\n  \"bench\": \"bench_can_rta\",\n"
-                     "  \"bitrate_bps\": 250000,\n"
-                     "  \"t_error_ns\": " +
-                     std::to_string(kTError) + ",\n  \"sweeps\": [";
-  bool first_sweep = true;
+  support::JsonWriter json;
+  begin_artifact(json, "bench_can_rta");
+  json.field("bitrate_bps", 250'000).field("t_error_ns", kTError);
+  json.key("sweeps").begin_array(4);
 
   std::printf("=== E9: CAN worst-case latency — simulation vs response-time "
               "analysis (250 kbit/s) ===\n");
@@ -104,25 +97,20 @@ int main(int argc, char** argv) {
     std::printf("%-16s %6s %10s %12s %12s %8s\n", "message", "id", "period",
                 "sim worst", "RTA bound", "margin");
     print_rule();
-    json += std::string(first_sweep ? "" : ",") + "\n    {\"extra_load\": " +
-            std::to_string(extra) +
-            ", \"utilization\": " + std::to_string(bound.bus_utilization) +
-            ", \"schedulable\": " + (bound.schedulable ? "true" : "false") +
-            ", \"schedulable_faulted\": " +
-            (faulted.schedulable ? "true" : "false") + ",\n     \"messages\": [";
-    first_sweep = false;
+    json.begin_object().field("extra_load", extra);
+    json.field("utilization", bound.bus_utilization);
+    json.field("schedulable", bound.schedulable);
+    json.field("schedulable_faulted", faulted.schedulable).line(5);
+    json.key("messages").begin_array(7);
     for (std::size_t k = 0; k < msgs.size(); ++k) {
       const auto it = bus.stats().find(msgs[k].id);
       const SimTime sim_worst =
           it == bus.stats().end() ? 0 : it->second.worst_latency;
-      json += std::string(k == 0 ? "" : ",") + "\n      {\"name\": \"" +
-              msgs[k].name + "\", \"id\": " + std::to_string(msgs[k].id) +
-              ", \"period_ns\": " + std::to_string(msgs[k].period) +
-              ", \"sim_worst_ns\": " + std::to_string(sim_worst) +
-              ", \"bound_fault_free_ns\": " +
-              std::to_string(faulted.response_fault_free[k]) +
-              ", \"bound_faulted_ns\": " +
-              std::to_string(faulted.response_faulted[k]) + "}";
+      json.begin_object().field("name", msgs[k].name);
+      json.field("id", msgs[k].id).field("period_ns", msgs[k].period);
+      json.field("sim_worst_ns", sim_worst);
+      json.field("bound_fault_free_ns", faulted.response_fault_free[k]);
+      json.field("bound_faulted_ns", faulted.response_faulted[k]).end();
       if (msgs[k].name.rfind("pad", 0) == 0 && k % 3 != 0) {
         continue;  // keep the table readable
       }
@@ -140,17 +128,14 @@ int main(int argc, char** argv) {
       ACES_CHECK_MSG(bound.response[k] <= faulted.response[k],
                      "error term shrank a bound!");
     }
-    json += "\n     ]}";
+    json.end().end();
   }
-  json += "\n  ]\n}\n";
+  json.end().end();
   std::printf("\nProperty held: every simulated latency <= its analytic "
               "bound.\n");
 
   if (json_path != nullptr) {
-    std::FILE* f = std::fopen(json_path, "w");
-    ACES_CHECK_MSG(f != nullptr, "cannot open --json output path");
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
+    support::write_json_file(json_path, json);
   }
   return 0;
 }

@@ -21,16 +21,14 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "bench_util.h"
 #include "can/bus.h"
 #include "can/frame.h"
 #include "net/flexray_fabric.h"
 #include "sim/event_queue.h"
-#include "support/check.h"
 
 using namespace aces;
 using sim::kMicrosecond;
@@ -51,12 +49,6 @@ struct TransportResult {
   SimTime analytic_worst = 0;     // closed-form bound (feasible only)
   double wall_ms = 0.0;           // host time for the simulation
 };
-
-double wall_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - t0)
-      .count();
-}
 
 // 64 bytes as `nframes` classic frames or one FD frame on one bus.
 TransportResult run_can(const char* name, std::uint32_t bitrate,
@@ -112,7 +104,7 @@ TransportResult run_can(const char* name, std::uint32_t bitrate,
     ACES_CHECK_MSG(r.worst_latency <= r.analytic_worst,
                    std::string(name) + ": measured latency above bound");
   }
-  r.wall_ms = wall_since(t0);
+  r.wall_ms = 1e3 * bench::seconds_since(t0);
   return r;
 }
 
@@ -153,22 +145,16 @@ TransportResult run_flexray(SimTime horizon) {
                   static_cast<double>(kBurstPeriod);
   ACES_CHECK_MSG(r.worst_latency <= r.analytic_worst,
                  "flexray: measured latency above bound");
-  r.wall_ms = wall_since(t0);
+  r.wall_ms = 1e3 * bench::seconds_since(t0);
   return r;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  SimTime horizon = 2 * sim::kSecond;
-  const char* json_path = nullptr;
-  for (int k = 1; k < argc; ++k) {
-    if (std::strcmp(argv[k], "--horizon-ms") == 0 && k + 1 < argc) {
-      horizon = std::atoll(argv[++k]) * kMillisecond;
-    } else if (std::strcmp(argv[k], "--json") == 0 && k + 1 < argc) {
-      json_path = argv[++k];
-    }
-  }
+  const bench::Args args{argc, argv};
+  const SimTime horizon = args.num("--horizon-ms", 2000) * kMillisecond;
+  const char* json_path = args.get("--json");
 
   std::printf("=== heterogeneous fabrics: 64 bytes every 1 ms, four wires "
               "===\n\n");
@@ -200,35 +186,21 @@ int main(int argc, char** argv) {
               "TDMA isolation.\n");
 
   if (json_path != nullptr) {
-    std::string json = "{\n  \"bench\": \"bench_fabric\",\n";
-    char buf[256];
-    std::snprintf(buf, sizeof buf,
-                  "  \"payload_bytes\": %u,\n  \"burst_period_us\": %lld,\n"
-                  "  \"horizon_ms\": %lld,\n  \"transports\": [",
-                  kPayloadBytes,
-                  static_cast<long long>(kBurstPeriod / 1000),
-                  static_cast<long long>(horizon / kMillisecond));
-    json += buf;
-    for (std::size_t k = 0; k < results.size(); ++k) {
-      const TransportResult& r = results[k];
-      std::snprintf(
-          buf, sizeof buf,
-          "%s\n    {\"name\": \"%s\", \"feasible\": %s, "
-          "\"utilization\": %.4f, \"bursts\": %llu, "
-          "\"worst_latency_us\": %lld, \"bound_us\": %lld, "
-          "\"wall_ms\": %.1f}",
-          k == 0 ? "" : ",", r.name.c_str(), r.feasible ? "true" : "false",
-          r.utilization, static_cast<unsigned long long>(r.bursts),
-          static_cast<long long>(r.worst_latency / 1000),
-          r.feasible ? static_cast<long long>(r.analytic_worst / 1000) : -1,
-          r.wall_ms);
-      json += buf;
+    support::JsonWriter json;
+    bench::begin_artifact(json, "bench_fabric");
+    json.field("payload_bytes", kPayloadBytes);
+    json.field("burst_period_us", kBurstPeriod / 1000);
+    json.field("horizon_ms", horizon / kMillisecond);
+    json.key("transports").begin_array(4);
+    for (const TransportResult& r : results) {
+      json.begin_object().field("name", r.name).field("feasible", r.feasible);
+      json.field("utilization", r.utilization).field("bursts", r.bursts);
+      json.field("worst_latency_us", r.worst_latency / 1000);
+      json.field("bound_us", r.feasible ? r.analytic_worst / 1000 : -1);
+      json.field("wall_ms", r.wall_ms).end();
     }
-    json += "\n  ]\n}\n";
-    std::FILE* f = std::fopen(json_path, "w");
-    ACES_CHECK_MSG(f != nullptr, "cannot open --json output path");
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
+    json.end().end();
+    support::write_json_file(json_path, json);
     std::printf("wrote %s\n", json_path);
   }
   return 0;

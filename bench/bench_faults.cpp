@@ -22,13 +22,8 @@
 //
 //   bench_faults [--variants N] [--horizon-ms M] [--json PATH]
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <string>
-#include <thread>
 
-#include "campaign/runner.h"
-#include "support/check.h"
+#include "bench_util.h"
 
 using namespace aces;
 using campaign::CampaignResult;
@@ -108,84 +103,24 @@ ScenarioSpec fault_sweep_spec(sim::SimTime horizon) {
   return spec;
 }
 
-CampaignResult run_with(const ScenarioSpec& spec, unsigned workers) {
-  CampaignRunner::Config cfg;
-  cfg.workers = workers;
-  cfg.watchdog_events = 5'000'000;  // backstop; no variant should trip it
-  return CampaignRunner(cfg).run(spec);
-}
-
-double axis_of(const campaign::VariantResult& v, const char* name) {
-  for (const auto& [axis, value] : v.params) {
-    if (axis == name) {
-      return value;
-    }
-  }
-  return 0.0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::size_t want_variants = 1008;
-  sim::SimTime horizon = 400 * kMillisecond;
-  const char* json_path = nullptr;
-  for (int k = 1; k < argc; ++k) {
-    if (std::strcmp(argv[k], "--json") == 0 && k + 1 < argc) {
-      json_path = argv[++k];
-    } else if (std::strcmp(argv[k], "--variants") == 0 && k + 1 < argc) {
-      want_variants = static_cast<std::size_t>(std::atoll(argv[++k]));
-    } else if (std::strcmp(argv[k], "--horizon-ms") == 0 && k + 1 < argc) {
-      horizon = std::atoll(argv[++k]) * kMillisecond;
-    }
-  }
+  const bench::Args args{argc, argv};
+  const char* json_path = args.get("--json");
+  const auto want_variants =
+      static_cast<std::size_t>(args.num("--variants", 1008));
+  const sim::SimTime horizon = args.num("--horizon-ms", 400) * kMillisecond;
 
   ScenarioSpec spec = fault_sweep_spec(horizon);
-  const std::size_t grid = spec.variant_count();
-  spec.replicates = static_cast<std::uint32_t>(
-      std::max<std::size_t>(1, (want_variants + grid - 1) / grid));
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-
-  std::printf("=== E13: fault campaign — %zu variants (%zu-point grid x %u "
-              "replicates), horizon %lld ms, hw threads %u ===\n",
-              spec.variant_count(), grid, spec.replicates,
-              static_cast<long long>(horizon / kMillisecond), hw);
-
-  // --- worker scaling on a subset, determinism checked across counts -----
-  ScenarioSpec subset = spec;
-  subset.replicates = std::max(1u, std::min(spec.replicates, 4u));
-  std::string scaling_json = "[";
-  std::string reference;
-  bool first = true;
-  for (unsigned w : {1u, 2u, hw}) {
-    const CampaignResult r = run_with(subset, w);
-    const std::string deterministic = r.to_json(/*with_timing=*/false);
-    if (reference.empty()) {
-      reference = deterministic;
-    } else {
-      ACES_CHECK_MSG(deterministic == reference,
-                     "deterministic report differs across worker counts");
-    }
-    std::printf("scaling: workers %2u -> %6.2f s (%.1f variants/s)\n", w,
-                r.wall_seconds, r.variants_per_second);
-    char buf[128];
-    std::snprintf(buf, sizeof buf,
-                  "%s\n    {\"workers\": %u, \"wall_seconds\": %.3f, "
-                  "\"variants_per_second\": %.1f}",
-                  first ? "" : ",", r.workers, r.wall_seconds,
-                  r.variants_per_second);
-    scaling_json += buf;
-    first = false;
-    if (w >= hw) {
-      break;
-    }
-  }
-  scaling_json += "\n  ]";
-  std::printf("scaling subset deterministic report: byte-identical across "
-              "worker counts (%zu variants)\n", subset.variant_count());
+  CampaignRunner::Config cfg;
+  cfg.watchdog_events = 5'000'000;  // backstop; no variant should trip it
+  support::JsonWriter json;
+  bench::open_campaign_bench("bench_faults", "E13: fault campaign", spec,
+                             want_variants, cfg, json);
 
   // --- the full campaign -------------------------------------------------
-  const CampaignResult full = run_with(spec, hw);
+  const CampaignResult full = CampaignRunner(cfg).run(spec);
   std::printf("supervision: %llu misses, %llu mitigations, %llu recoveries; "
               "recovery p99 %.2f ms, max %.2f ms; watchdog %llu\n",
               static_cast<unsigned long long>(full.heartbeat_misses),
@@ -211,9 +146,9 @@ int main(int argc, char** argv) {
   double recovery_sum_fast = 0.0, recovery_sum_slow = 0.0;
   std::uint64_t recovery_n_fast = 0, recovery_n_slow = 0;
   for (const auto& v : full.variants) {
-    const double fault_at = axis_of(v, "fault_at_ns");
-    const double err = axis_of(v, "error_period_ns");
-    const double reboot = axis_of(v, "reboot_delay_ns");
+    const double fault_at = bench::axis_of(v, "fault_at_ns");
+    const double err = bench::axis_of(v, "error_period_ns");
+    const double reboot = bench::axis_of(v, "reboot_delay_ns");
     if (fault_at == 0.0 && err == 0.0) {
       ++clean;
       ACES_CHECK_MSG(v.heartbeat_misses == 0 && v.recoveries == 0,
@@ -252,30 +187,18 @@ int main(int argc, char** argv) {
 
   // Replay: the first crash variant must reproduce bit-identically.
   for (const auto& v : full.variants) {
-    if (axis_of(v, "fault_at_ns") == 0.0) {
+    if (bench::axis_of(v, "fault_at_ns") == 0.0) {
       continue;
     }
-    const auto replayed = CampaignRunner().replay(spec, v.index, v.seed);
-    ACES_CHECK_MSG(replayed.fingerprint == v.fingerprint,
-                   "replayed variant fingerprint differs from the campaign");
-    std::printf("replay: variant %u (seed %llu) reproduced fingerprint "
-                "%016llx\n", v.index,
-                static_cast<unsigned long long>(v.seed),
-                static_cast<unsigned long long>(v.fingerprint));
+    bench::check_replay(spec, v);
     break;
   }
 
   if (json_path != nullptr) {
-    std::string json = "{\n  \"bench\": \"bench_faults\",\n";
-    json += "  \"scaling\": " + scaling_json + ",\n";
-    json += "  \"campaign\": " + full.to_json(/*with_timing=*/true);
-    // to_json ends with "}\n"; splice it into the wrapper.
-    json.erase(json.size() - 1);
-    json += "\n}\n";
-    std::FILE* f = std::fopen(json_path, "w");
-    ACES_CHECK_MSG(f != nullptr, "cannot open --json output path");
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
+    json.key("campaign");
+    full.write_json(json, /*with_timing=*/true);
+    json.end();
+    support::write_json_file(json_path, json);
     std::printf("wrote %s\n", json_path);
   }
   return 0;

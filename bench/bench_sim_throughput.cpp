@@ -8,7 +8,6 @@
 
 #include "bench_util.h"
 #include "can/controller.h"
-#include "cpu/ivc.h"
 #include "net/network.h"
 #include "sim/event_queue.h"
 #include "sim/simulation.h"
@@ -146,89 +145,40 @@ BENCHMARK(BM_EventQueueThroughput);
 // is scheduler work per wall second — queue events plus core steps — the
 // number that has to stay high for many-ECU scenarios to be sweepable.
 void BM_CoSimMultiEcu(benchmark::State& state) {
-  using namespace aces::isa;
-  using Ctl = can::CanController;
-  constexpr unsigned kLine = 1;
-  constexpr std::uint32_t kVectors = cpu::kSramBase + 0x40;
-  constexpr std::uint32_t kCount = cpu::kSramBase + 0x100;
-
-  // Shared guest image: sleep, count serviced frames in the ISR.
-  Assembler a(Encoding::b32, cpu::kFlashBase);
-  const Label entry = a.bound_label();
-  const Label top = a.bound_label();
-  Instruction wfi;
-  wfi.op = Op::wfi;
-  a.ins(wfi);
-  a.b(top);
-  a.pool();
-  const Label isr = a.bound_label();
-  a.load_literal(r0, cpu::kPeriphBase);
-  a.load_literal(r3, kCount);
-  a.ins(ins_ldst_imm(Op::ldr, r2, r3, 0));
-  a.ins(ins_rri(Op::add, r2, r2, 1, SetFlags::any));
-  a.ins(ins_ldst_imm(Op::str, r2, r3, 0));
-  a.ins(ins_mov_imm(r12, 1, SetFlags::any));
-  a.ins(ins_ldst_imm(Op::str, r12, r0, Ctl::kRxPop));
-  a.ins(ins_ldst_imm(Op::str, r12, r0, Ctl::kIrqAck));
-  a.ins(ins_ret());
-  a.pool();
-  const Image image = a.assemble();
-
+  const net::GuestProgram guest = counting_guest();
+  can::CanController::Config cc;
+  cc.rx_line = kGuestRxLine;
   std::uint64_t cosim_events = 0;
   std::uint64_t frames = 0;
   std::uint64_t slices = 0;
   std::uint64_t idle_windows = 0;
   for (auto _ : state) {
-    sim::Simulation sim(50 * sim::kMicrosecond);
-    can::CanBus bus(sim.queue(), 500'000);
-    constexpr int kEcus = 4;
-    std::vector<std::unique_ptr<Ctl>> controllers;
-    std::vector<std::unique_ptr<cpu::System>> systems;
-    for (int k = 0; k < kEcus; ++k) {
-      Ctl::Config cc;
-      cc.rx_line = kLine;
-      controllers.push_back(std::make_unique<Ctl>(
-          bus, "ecu" + std::to_string(k), cc));
-      cpu::Ivc::Config ic;
-      ic.vector_table = kVectors;
-      ic.lines = 4;
-      systems.push_back(std::make_unique<cpu::System>(
-          cpu::profiles::modern_mcu()
-              .name("ecu" + std::to_string(k))
-              .clock_hz(8'000'000 * (1u << (k % 2)))  // mixed clock domains
-              .flash_size(16 * 1024)
-              .device(cpu::kPeriphBase, *controllers.back())
-              .ivc(ic)));
-      cpu::System& sys = *systems.back();
-      sys.load(image);
-      sys.set_irq_handler(kLine, a.label_address(isr));
-      sys.ivc()->enable_line(kLine, 32);
-      controllers.back()->connect_irq(sys.bind(sim));
-      ACES_CHECK(sys.bus()
-                     .write(cpu::kPeriphBase + Ctl::kCtrl, 4, Ctl::kCtrlRxie,
-                            0)
-                     .ok());
-      sys.core().reset(a.label_address(entry), sys.initial_sp());
+    net::NetworkBuilder nb;
+    const net::BusId bus = nb.bus("can", 500'000);
+    std::vector<net::EcuId> ecus;
+    for (int k = 0; k < 4; ++k) {
+      ecus.push_back(nb.ecu(bus,
+                            cpu::profiles::modern_mcu()
+                                .name("ecu" + std::to_string(k))
+                                .clock_hz(8'000'000 * (1u << (k % 2)))
+                                .flash_size(16 * 1024),
+                            guest, cc));
     }
-    const can::NodeId sensor = bus.attach_node("sensor");
-    sim.schedule_every(sim::kMillisecond, [&bus, sensor] {
-      can::CanFrame f;
-      f.id = 0x100;
-      f.dlc = 4;
-      bus.send(sensor, f);
-    });
-    sim.run_until(100 * sim::kMillisecond);
+    net::Network net = nb.build();
+    start_broadcast(net, bus);
+    net.run_until(100 * sim::kMillisecond);
 
-    std::uint64_t events = sim.stats().events_executed;
-    for (const std::unique_ptr<cpu::System>& sys : systems) {
-      events += sys->binding()->stats().steps;
-      frames += sys->bus().read(kCount, 4, mem::Access::read, 0).value;
+    const sim::Simulation::Stats& stats = net.simulation().stats();
+    std::uint64_t events = stats.events_executed;
+    for (const net::EcuId id : ecus) {
+      events += net.iss(id).binding().stats().steps;
+      frames += net.iss(id).system()->bus().read(kGuestCount, 4,
+                                                 mem::Access::read, 0).value;
     }
     // Per-participant scheduler accounting (Simulation::Stats): total
     // round-robin slices and WFI fast-forwarded windows across the fleet —
     // the idle share is what keeps many-ECU scenarios sweepable.
-    for (const sim::Simulation::ParticipantStats& ps :
-         sim.stats().participants) {
+    for (const sim::Simulation::ParticipantStats& ps : stats.participants) {
       slices += ps.slices;
       idle_windows += ps.idle_windows;
     }
@@ -253,85 +203,26 @@ BENCHMARK(BM_CoSimMultiEcu);
 // figures CI tracks: scheduler throughput and simulated-core throughput of
 // a whole routed vehicle, not a single hot loop.
 void BM_CoSimGatewayNetwork(benchmark::State& state) {
-  using namespace aces::isa;
-  using Ctl = can::CanController;
-  constexpr unsigned kLine = 1;
-  constexpr std::uint32_t kVectors = cpu::kSramBase + 0x40;
-  constexpr std::uint32_t kCount = cpu::kSramBase + 0x100;
-
-  // Count-and-ack guest ISR, shared by all six ECUs.
-  Assembler a(Encoding::b32, cpu::kFlashBase);
-  const Label entry = a.bound_label();
-  const Label top = a.bound_label();
-  Instruction wfi;
-  wfi.op = Op::wfi;
-  a.ins(wfi);
-  a.b(top);
-  a.pool();
-  const Label isr = a.bound_label();
-  a.load_literal(r0, cpu::kPeriphBase);
-  a.load_literal(r3, kCount);
-  a.ins(ins_ldst_imm(Op::ldr, r2, r3, 0));
-  a.ins(ins_rri(Op::add, r2, r2, 1, SetFlags::any));
-  a.ins(ins_ldst_imm(Op::str, r2, r3, 0));
-  a.ins(ins_mov_imm(r12, 1, SetFlags::any));
-  a.ins(ins_ldst_imm(Op::str, r12, r0, Ctl::kRxPop));
-  a.ins(ins_ldst_imm(Op::str, r12, r0, Ctl::kIrqAck));
-  a.ins(ins_ret());
-  a.pool();
-  net::GuestProgram prog;
-  prog.image = a.assemble();
-  prog.entry = a.label_address(entry);
-  prog.ivc.vector_table = kVectors;
-  prog.handlers.push_back({kLine, a.label_address(isr), 32});
-
+  const net::GuestProgram guest = counting_guest();
   std::uint64_t cosim_events = 0;
   std::uint64_t instructions = 0;
   std::uint64_t forwarded = 0;
   for (auto _ : state) {
-    net::NetworkBuilder nb;
-    const net::BusId buses[3] = {nb.bus("pt", 500'000),
-                                 nb.bus("body", 125'000),
-                                 nb.bus("diag", 250'000)};
-    Ctl::Config cc;
-    cc.rx_line = kLine;
-    std::vector<net::EcuId> ecus;
-    for (int k = 0; k < 6; ++k) {
-      ecus.push_back(nb.ecu(
-          buses[k / 2],
-          cpu::profiles::modern_mcu()
-              .name("ecu" + std::to_string(k))
-              .clock_hz(8'000'000 * (1u << (k % 2)))
-              .flash_size(16 * 1024),
-          prog, cc));
-    }
-    net::GatewayConfig gc;
-    gc.forwarding_latency = 100 * sim::kMicrosecond;
-    const net::GatewayId gw = nb.gateway("central", gc);
-    nb.route(gw, {buses[0], buses[1], 0x100, 0x7FF, {}});
-    nb.route(gw, {buses[0], buses[2], 0x100, 0x7FF, {}});
+    GatewayVehicle v = gateway_vehicle(guest);
     // Arg: worker threads for the sharded epoch fan-out (the topology
     // partitions into one shard per bus). Results are thread-invariant;
     // only the wall clock moves.
-    nb.threads(static_cast<unsigned>(state.range(0)));
-    net::Network net = nb.build();
-
-    const can::NodeId sensor = net.bus(buses[0]).attach_node("sensor");
-    net.shard(buses[0]).schedule_every(sim::kMillisecond, [&net, &buses,
-                                                          sensor] {
-      can::CanFrame f;
-      f.id = 0x100;
-      f.dlc = 4;
-      net.bus(buses[0]).send(sensor, f);
-    });
+    v.builder.threads(static_cast<unsigned>(state.range(0)));
+    net::Network net = v.builder.build();
+    start_broadcast(net, v.pt);
     net.run_until(100 * sim::kMillisecond);
 
     std::uint64_t events = net.simulation().stats().events_executed;
-    for (const net::EcuId id : ecus) {
+    for (const net::EcuId id : v.ecus) {
       events += net.iss(id).binding().stats().steps;
       instructions += net.iss(id).binding().stats().steps;
     }
-    forwarded += net.gateway(gw).stats().frames_delivered;
+    forwarded += net.gateway(v.gateway).stats().frames_delivered;
     benchmark::DoNotOptimize(events);
     cosim_events += events;
   }

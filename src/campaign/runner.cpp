@@ -1,15 +1,13 @@
 #include "campaign/runner.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <cinttypes>
-#include <cstdio>
 #include <map>
-#include <thread>
 
 #include "can/bit_error.h"
 #include "support/check.h"
+#include "support/json.h"
+#include "support/worker_pool.h"
 
 namespace aces::campaign {
 
@@ -106,32 +104,12 @@ std::uint64_t fingerprint_of(const VariantResult& r) {
   return f.h;
 }
 
-std::string fmt_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.6g", v);
-  return buf;
-}
-
-std::string fmt_u64(std::uint64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%" PRIu64, v);
-  return buf;
-}
-
-std::string fmt_i64(std::int64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%" PRId64, v);
-  return buf;
-}
-
-std::string json_params(
-    const std::vector<std::pair<std::string, double>>& params) {
-  std::string out = "{";
-  for (std::size_t k = 0; k < params.size(); ++k) {
-    out += std::string(k == 0 ? "" : ", ") + "\"" + params[k].first +
-           "\": " + fmt_double(params[k].second);
-  }
-  return out + "}";
+// Every histogram of a campaign has this geometry, so they merge.
+LatencyHistogram empty_histogram(const CampaignRunner::Config& c) {
+  LatencyHistogram h;
+  h.bin_width = std::max<SimTime>(1, c.hist_max / std::max(1u, c.hist_bins));
+  h.bins.assign(c.hist_bins + 1, 0);
+  return h;
 }
 
 }  // namespace
@@ -146,10 +124,7 @@ VariantResult CampaignRunner::run_variant(const ScenarioSpec& spec,
   out.params = v.params;
   out.paths.resize(spec.paths.size());
   for (PathResult& p : out.paths) {
-    p.hist.bin_width =
-        std::max<SimTime>(1, config_.hist_max /
-                                 std::max(1u, config_.hist_bins));
-    p.hist.bins.assign(config_.hist_bins + 1, 0);
+    p.hist = empty_histogram(config_);
   }
 
   try {
@@ -322,11 +297,10 @@ VariantResult CampaignRunner::run_variant(const ScenarioSpec& spec,
                                : 0.0;
         if (spec.assertions.min_availability > 0.0 &&
             res.availability < spec.assertions.min_availability) {
-          out.violations.push_back("path '" + path.name +
-                                   "': availability " +
-                                   fmt_double(res.availability) + " < " +
-                                   fmt_double(
-                                       spec.assertions.min_availability));
+          out.violations.push_back(
+              "path '" + path.name + "': availability " +
+              support::format_g6(res.availability) + " < " +
+              support::format_g6(spec.assertions.min_availability));
         }
       }
       if (!path.hops) {
@@ -354,30 +328,32 @@ VariantResult CampaignRunner::run_variant(const ScenarioSpec& spec,
                                  "': rta_unschedulable");
       } else if (out.bus_off_events == 0 && res.max_latency > bound.response) {
         res.bound_exceeded = true;
-        out.violations.push_back("path '" + path.name + "': measured " +
-                                 fmt_i64(res.max_latency) + "ns > bound " +
-                                 fmt_i64(bound.response) + "ns");
+        out.violations.push_back(
+            "path '" + path.name + "': measured " +
+            std::to_string(res.max_latency) + "ns > bound " +
+            std::to_string(bound.response) + "ns");
       }
     }
     if (out.overflow_drops > spec.assertions.max_overflow_drops) {
       out.violations.push_back("gateway overflow drops: " +
-                               fmt_u64(out.overflow_drops));
+                               std::to_string(out.overflow_drops));
     }
     if (out.bus_off_events > spec.assertions.max_bus_off) {
       out.violations.push_back("bus-off events: " +
-                               fmt_u64(out.bus_off_events));
+                               std::to_string(out.bus_off_events));
     }
     if (spec.assertions.no_deadline_misses && out.deadline_misses > 0) {
       out.violations.push_back("deadline misses: " +
-                               fmt_u64(out.deadline_misses));
+                               std::to_string(out.deadline_misses));
     }
     if (out.watchdog_tripped) {
       out.violations.push_back("watchdog: variant stopped after " +
-                               fmt_u64(out.events) + " events");
+                               std::to_string(out.events) + " events");
     }
   } catch (const std::exception& e) {
     // A throwing variant is a spec bug; flag it instead of tearing down
-    // the whole batch (workers must never leak exceptions).
+    // the whole batch. Anything that is not a std::exception reaches the
+    // caller of run() through the worker pool, at every worker count.
     out.violations.push_back(std::string("exception: ") + e.what());
   }
 
@@ -400,34 +376,15 @@ CampaignResult CampaignRunner::run(const ScenarioSpec& spec) const {
   out.axes = spec.axes;
   out.variants.resize(variants.size());
 
-  unsigned workers = config_.workers != 0
-                         ? config_.workers
-                         : std::max(1u, std::thread::hardware_concurrency());
-  workers = static_cast<unsigned>(
-      std::min<std::size_t>(workers, variants.size()));
-  out.workers = workers;
+  out.workers = static_cast<unsigned>(std::min<std::size_t>(
+      support::resolve_threads(config_.workers), variants.size()));
 
   const auto wall_start = std::chrono::steady_clock::now();
-  std::atomic<std::size_t> cursor{0};
-  const auto work = [&] {
-    for (std::size_t k; (k = cursor.fetch_add(1)) < variants.size();) {
-      // Slot k belongs to variant k alone: ordering is by variant index,
-      // never by completion order.
-      out.variants[k] = run_variant(spec, variants[k]);
-    }
-  };
-  if (workers <= 1) {
-    work();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (unsigned w = 0; w < workers; ++w) {
-      pool.emplace_back(work);
-    }
-    for (std::thread& t : pool) {
-      t.join();
-    }
-  }
+  // Slot k belongs to variant k alone: ordering is by variant index, never
+  // by completion order.
+  support::WorkerPool(out.workers).run(variants.size(), [&](std::size_t k) {
+    out.variants[k] = run_variant(spec, variants[k]);
+  });
   out.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     wall_start)
@@ -442,15 +399,9 @@ CampaignResult CampaignRunner::run(const ScenarioSpec& spec) const {
   for (std::size_t k = 0; k < spec.paths.size(); ++k) {
     auto& agg = out.paths[k];
     agg.name = spec.paths[k].name;
-    agg.hist.bin_width =
-        std::max<SimTime>(1, config_.hist_max /
-                                 std::max(1u, config_.hist_bins));
-    agg.hist.bins.assign(config_.hist_bins + 1, 0);
+    agg.hist = empty_histogram(config_);
   }
-  out.recovery_hist.bin_width =
-      std::max<SimTime>(1, config_.hist_max /
-                               std::max(1u, config_.hist_bins));
-  out.recovery_hist.bins.assign(config_.hist_bins + 1, 0);
+  out.recovery_hist = empty_histogram(config_);
   std::vector<std::uint64_t> path_totals(spec.paths.size(), 0);
   for (const VariantResult& r : out.variants) {
     if (r.violating()) {
@@ -540,93 +491,75 @@ const VariantResult* CampaignResult::first_violating() const {
   return nullptr;
 }
 
-std::string CampaignResult::to_json(bool with_timing,
-                                    std::size_t max_listed_violations) const {
-  std::string j = "{\n";
-  j += "  \"bench\": \"campaign\",\n";
-  j += "  \"spec\": \"" + spec_name + "\",\n";
-  j += "  \"master_seed\": " + fmt_u64(master_seed) + ",\n";
-  j += "  \"horizon_ns\": " + fmt_i64(horizon) + ",\n";
-  j += "  \"variants\": " + fmt_u64(variants.size()) + ",\n";
-  j += "  \"axes\": [";
-  for (std::size_t k = 0; k < axes.size(); ++k) {
-    j += std::string(k == 0 ? "" : ",") + "\n    {\"name\": \"" +
-         axes[k].name + "\", \"values\": [";
-    for (std::size_t i = 0; i < axes[k].values.size(); ++i) {
-      j += std::string(i == 0 ? "" : ", ") + fmt_double(axes[k].values[i]);
-    }
-    j += "]}";
+void CampaignResult::write_json(support::JsonWriter& w,
+                                bool with_timing) const {
+  w.begin_object(2).field("bench", "campaign").field("spec", spec_name);
+  w.field("master_seed", master_seed).field("horizon_ns", horizon);
+  w.field("variants", variants.size());
+  w.key("axes").begin_array(4);
+  for (const SweepAxis& axis : axes) {
+    w.begin_object().field("name", axis.name);
+    w.key("values").begin_array().values(axis.values).end().end();
   }
-  j += axes.empty() ? "],\n" : "\n  ],\n";
-  j += "  \"paths\": [";
-  for (std::size_t k = 0; k < paths.size(); ++k) {
-    const PathAggregate& p = paths[k];
-    j += std::string(k == 0 ? "" : ",") + "\n    {\"name\": \"" + p.name +
-         "\", \"frames\": " + fmt_u64(p.frames) +
-         ", \"min_ns\": " + fmt_i64(p.min_latency) +
-         ", \"mean_ns\": " + fmt_double(p.mean_latency) +
-         ", \"p99_ns\": " + fmt_i64(p.p99_latency) +
-         ", \"max_ns\": " + fmt_i64(p.max_latency) +
-         ",\n     \"bound_exceeded_variants\": " +
-         fmt_u64(p.bound_exceeded_variants) +
-         ", \"unschedulable_variants\": " +
-         fmt_u64(p.unschedulable_variants) +
-         (p.availability >= 0.0
-              ? ",\n     \"availability\": " + fmt_double(p.availability) +
-                    ", \"min_availability\": " +
-                    fmt_double(p.min_availability)
-              : std::string()) +
-         ",\n     \"histogram\": {\"bin_width_ns\": " +
-         fmt_i64(p.hist.bin_width) + ", \"counts\": [";
-    for (std::size_t i = 0; i < p.hist.bins.size(); ++i) {
-      j += std::string(i == 0 ? "" : ",") + fmt_u64(p.hist.bins[i]);
+  w.end().key("paths").begin_array(4);
+  for (const PathAggregate& p : paths) {
+    w.begin_object().field("name", p.name).field("frames", p.frames);
+    w.field("min_ns", p.min_latency).field("mean_ns", p.mean_latency);
+    w.field("p99_ns", p.p99_latency).field("max_ns", p.max_latency);
+    w.line(5).field("bound_exceeded_variants", p.bound_exceeded_variants);
+    w.field("unschedulable_variants", p.unschedulable_variants);
+    if (p.availability >= 0.0) {
+      w.line(5).field("availability", p.availability);
+      w.field("min_availability", p.min_availability);
     }
-    j += "]}}";
+    w.line(5).key("histogram").begin_object();
+    w.field("bin_width_ns", p.hist.bin_width).key("counts");
+    w.begin_array(support::JsonWriter::kPacked).values(p.hist.bins);
+    w.end().end().end();
   }
-  j += paths.empty() ? "],\n" : "\n  ],\n";
-  j += "  \"counters\": {\"violating_variants\": " +
-       fmt_u64(violating_variants) +
-       ", \"rta_violations\": " + fmt_u64(rta_violations) +
-       ", \"unschedulable\": " + fmt_u64(unschedulable) +
-       ",\n    \"overflow_drops\": " + fmt_u64(overflow_drops) +
-       ", \"bus_off_events\": " + fmt_u64(bus_off_events) +
-       ", \"deadline_misses\": " + fmt_u64(deadline_misses) +
-       ", \"bit_errors\": " + fmt_u64(bit_errors) + "},\n";
-  j += "  \"supervision\": {\"heartbeat_misses\": " +
-       fmt_u64(heartbeat_misses) + ", \"mitigations\": " +
-       fmt_u64(mitigations) + ", \"recoveries\": " + fmt_u64(recoveries) +
-       ",\n    \"recovery_p99_ns\": " + fmt_i64(recovery_p99) +
-       ", \"recovery_max_ns\": " + fmt_i64(recovery_max) +
-       ", \"watchdog_timeouts\": " + fmt_u64(watchdog_timeouts) + "},\n";
+  w.end().key("counters").begin_object();
+  w.field("violating_variants", violating_variants);
+  w.field("rta_violations", rta_violations);
+  w.field("unschedulable", unschedulable);
+  w.line(4).field("overflow_drops", overflow_drops);
+  w.field("bus_off_events", bus_off_events);
+  w.field("deadline_misses", deadline_misses);
+  w.field("bit_errors", bit_errors).end();
+  w.key("supervision").begin_object();
+  w.field("heartbeat_misses", heartbeat_misses);
+  w.field("mitigations", mitigations).field("recoveries", recoveries);
+  w.line(4).field("recovery_p99_ns", recovery_p99);
+  w.field("recovery_max_ns", recovery_max);
+  w.field("watchdog_timeouts", watchdog_timeouts).end();
+  w.key("violating_variants").begin_object();
+  w.field("total", violating_variants).key("entries").begin_array(4);
   std::uint64_t listed = 0;
-  j += "  \"violating_variants\": {\"total\": " +
-       fmt_u64(violating_variants) + ", \"entries\": [";
   for (const VariantResult& r : variants) {
-    if (!r.violating() || listed >= max_listed_violations) {
+    if (!r.violating() || listed >= kMaxListedViolations) {
       continue;
     }
-    j += std::string(listed == 0 ? "" : ",") +
-         "\n    {\"index\": " + fmt_u64(r.index) +
-         ", \"seed\": " + fmt_u64(r.seed) + ", \"params\": " +
-         json_params(r.params) + ",\n     \"reasons\": [";
-    for (std::size_t k = 0; k < r.violations.size(); ++k) {
-      j += std::string(k == 0 ? "" : ", ") + "\"" + r.violations[k] + "\"";
+    w.begin_object().field("index", r.index).field("seed", r.seed);
+    w.key("params").begin_object();
+    for (const auto& [name, value] : r.params) {
+      w.field(name, value);
     }
-    j += "]}";
+    w.end().line(5).key("reasons").begin_array().values(r.violations);
+    w.end().end();
     ++listed;
   }
-  j += listed == 0 ? "], \"listed\": 0}" : "\n  ], \"listed\": " +
-                                               fmt_u64(listed) + "}";
+  w.end().field("listed", listed).end();
   if (with_timing) {
-    char buf[160];
-    std::snprintf(buf, sizeof buf,
-                  ",\n  \"timing\": {\"workers\": %u, \"wall_seconds\": "
-                  "%.3f, \"variants_per_second\": %.1f}",
-                  workers, wall_seconds, variants_per_second);
-    j += buf;
+    w.key("timing").begin_object().field("workers", workers);
+    w.field("wall_seconds", wall_seconds);
+    w.field("variants_per_second", variants_per_second).end();
   }
-  j += "\n}\n";
-  return j;
+  w.end();
+}
+
+std::string CampaignResult::to_json(bool with_timing) const {
+  support::JsonWriter w;
+  write_json(w, with_timing);
+  return w.str();
 }
 
 }  // namespace aces::campaign

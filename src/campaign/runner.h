@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "campaign/spec.h"
+#include "support/json.h"
 
 namespace aces::campaign {
 
@@ -137,19 +138,20 @@ struct CampaignResult {
   // The machine-readable report. With `with_timing` false the output is a
   // pure function of the variant results — byte-identical across worker
   // counts (the determinism test compares exactly this form); the bench
-  // artifact includes the timing section. Violating variants are listed up
-  // to `max_listed_violations`, with the true total alongside so the cap
-  // is never silent.
-  [[nodiscard]] std::string to_json(bool with_timing = true,
-                                    std::size_t max_listed_violations =
-                                        64) const;
+  // artifact includes the timing section. The first kMaxListedViolations
+  // violating variants are listed, with the true total alongside so the
+  // cap is never silent.
+  static constexpr std::size_t kMaxListedViolations = 64;
+  [[nodiscard]] std::string to_json(bool with_timing = true) const;
+  // The same report as one value inside a larger document.
+  void write_json(support::JsonWriter& w, bool with_timing) const;
 };
 
 class CampaignRunner {
  public:
   struct Config {
     // Variants run in parallel, one per worker; each variant runs on a
-    // single shard thread. 0 = std::thread::hardware_concurrency().
+    // single shard thread. 0 = one per hardware thread.
     // Never changes results: the deterministic report is byte-identical
     // across worker counts.
     unsigned workers = 0;

@@ -1,115 +1,12 @@
 #include "sim/sharded.h"
 
 #include <algorithm>
-#include <atomic>
-#include <condition_variable>
-#include <exception>
-#include <mutex>
-#include <thread>
 #include <utility>
 
 #include "support/check.h"
+#include "support/worker_pool.h"
 
 namespace aces::sim {
-
-// ----- worker pool ------------------------------------------------------------
-
-// Persistent workers driven by a generation barrier. Each epoch the
-// coordinator publishes (shards, target), workers pull shard indices off a
-// shared cursor (load balancing is free: results never depend on who runs
-// what), and the coordinator blocks until all workers report done. An
-// exception from any shard (ACES_CHECK throws std::logic_error) is
-// captured and rethrown on the coordinator thread after the barrier.
-struct ShardedSimulation::Pool {
-  explicit Pool(unsigned n) : count(n) {
-    workers.reserve(n);
-    for (unsigned i = 0; i < n; ++i) {
-      workers.emplace_back([this] { work(); });
-    }
-  }
-
-  ~Pool() {
-    {
-      const std::lock_guard<std::mutex> lock(m);
-      quit = true;
-    }
-    work_cv.notify_all();
-    for (std::thread& t : workers) {
-      t.join();
-    }
-  }
-
-  void run(std::vector<std::unique_ptr<Shard>>& shards, SimTime target) {
-    {
-      const std::lock_guard<std::mutex> lock(m);
-      job = &shards;
-      job_target = target;
-      cursor.store(0, std::memory_order_relaxed);
-      done = 0;
-      error = nullptr;
-      ++generation;
-    }
-    work_cv.notify_all();
-    std::unique_lock<std::mutex> lock(m);
-    done_cv.wait(lock, [this] { return done == count; });
-    if (error) {
-      std::exception_ptr e = std::exchange(error, nullptr);
-      lock.unlock();
-      std::rethrow_exception(e);
-    }
-  }
-
-  void work() {
-    std::uint64_t seen = 0;
-    while (true) {
-      std::vector<std::unique_ptr<Shard>>* shards = nullptr;
-      SimTime target = 0;
-      {
-        std::unique_lock<std::mutex> lock(m);
-        work_cv.wait(lock, [&] { return quit || generation != seen; });
-        if (quit) {
-          return;
-        }
-        seen = generation;
-        shards = job;
-        target = job_target;
-      }
-      while (true) {
-        const std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
-        if (i >= shards->size()) {
-          break;
-        }
-        try {
-          (*shards)[i]->run_until(target);
-        } catch (...) {
-          const std::lock_guard<std::mutex> lock(m);
-          if (!error) {
-            error = std::current_exception();
-          }
-        }
-      }
-      const std::lock_guard<std::mutex> lock(m);
-      if (++done == count) {
-        done_cv.notify_all();
-      }
-    }
-  }
-
-  const unsigned count;
-  std::mutex m;
-  std::condition_variable work_cv;
-  std::condition_variable done_cv;
-  std::vector<std::thread> workers;
-  std::vector<std::unique_ptr<Shard>>* job = nullptr;
-  SimTime job_target = 0;
-  std::atomic<std::size_t> cursor{0};
-  std::size_t done = 0;
-  std::uint64_t generation = 0;
-  bool quit = false;
-  std::exception_ptr error;
-};
-
-// ----- coordinator ------------------------------------------------------------
 
 ShardedSimulation::ShardedSimulation(SimTime quantum) : quantum_(quantum) {
   ACES_CHECK_MSG(quantum >= 1, "co-simulation quantum must be >= 1 ns");
@@ -130,17 +27,13 @@ void ShardedSimulation::set_lookahead(SimTime delta) {
 
 void ShardedSimulation::set_threads(unsigned n) {
   threads_setting_ = n;
-  pool_.reset();  // rebuilt lazily at the next parallel epoch
+  pool_.reset();  // rebuilt lazily at the next epoch
 }
 
 unsigned ShardedSimulation::threads() const {
-  unsigned n = threads_setting_;
-  if (n == 0) {
-    n = std::max(1u, std::thread::hardware_concurrency());
-  }
   const unsigned cap =
       static_cast<unsigned>(std::max<std::size_t>(1, shards_.size()));
-  return std::min(n, cap);
+  return std::min(support::resolve_threads(threads_setting_), cap);
 }
 
 SimTime ShardedSimulation::now() const {
@@ -218,16 +111,13 @@ void ShardedSimulation::run_epochs(SimTime horizon) {
 
 void ShardedSimulation::run_all(SimTime target) {
   const unsigned n = threads();
-  if (n <= 1) {
-    for (auto& s : shards_) {
-      s->run_until(target);
-    }
-    return;
+  if (!pool_ || pool_->threads() != n) {
+    pool_ = std::make_unique<support::WorkerPool>(n);
   }
-  if (!pool_ || pool_->count != n) {
-    pool_ = std::make_unique<Pool>(n);
-  }
-  pool_->run(shards_, target);
+  // An exception from any shard (ACES_CHECK throws std::logic_error) is
+  // rethrown here once every shard has reached the boundary.
+  pool_->run(shards_.size(),
+             [this, target](std::size_t k) { shards_[k]->run_until(target); });
 }
 
 void ShardedSimulation::merge_outboxes(SimTime boundary) {

@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "sim/simulation.h"
+#include "support/worker_pool.h"
 
 namespace aces::sim {
 
@@ -49,9 +50,10 @@ class ShardedSimulation {
   void set_lookahead(SimTime delta);
   [[nodiscard]] SimTime lookahead() const noexcept { return lookahead_; }
 
-  // Worker threads for the epoch fan-out. 0 (default) = min(hardware
-  // concurrency, shard count); 1 = run every shard on the calling thread
-  // (identical results — thread count never changes event order).
+  // Worker threads for the epoch fan-out (a support::WorkerPool). 0
+  // (default) = min(hardware threads, shard count); 1 = run every shard on
+  // the calling thread (identical results — thread count never changes
+  // event order).
   void set_threads(unsigned n);
   [[nodiscard]] unsigned threads() const;  // resolved count
 
@@ -82,8 +84,6 @@ class ShardedSimulation {
   [[nodiscard]] std::uint64_t epochs() const noexcept { return epochs_; }
 
  private:
-  struct Pool;
-
   void run_epochs(SimTime horizon);
   void run_all(SimTime target);
   void merge_outboxes(SimTime boundary);
@@ -97,7 +97,7 @@ class ShardedSimulation {
   bool tripped_ = false;
   std::uint64_t epochs_ = 0;
   mutable Simulation::Stats agg_;
-  std::unique_ptr<Pool> pool_;
+  std::unique_ptr<support::WorkerPool> pool_;  // built at the first epoch
 };
 
 }  // namespace aces::sim

@@ -94,6 +94,68 @@ TEST(Campaign, WorkerCountDoesNotChangeTheReport) {
   EXPECT_EQ(b.workers, 4u);
 }
 
+TEST(Campaign, NonStdExceptionReachesTheCallerAtEveryWorkerCount) {
+  // A topology that throws something other than a std::exception is not a
+  // variant verdict; it must reach the caller of run() the same way
+  // whether the variants ran inline or on worker threads.
+  campaign::ScenarioSpec spec = small_vehicle(20 * kMillisecond, 1);
+  const auto inner = spec.topology;
+  spec.topology = [inner](const campaign::Variant& v) {
+    if (v.index == 1) {
+      throw 42;
+    }
+    return inner(v);
+  };
+  for (const unsigned workers : {1u, 4u}) {
+    campaign::CampaignRunner::Config cfg;
+    cfg.workers = workers;
+    int thrown = 0;
+    try {
+      (void)campaign::CampaignRunner(cfg).run(spec);
+    } catch (int e) {
+      thrown = e;
+    }
+    EXPECT_EQ(thrown, 42) << workers << " workers";
+  }
+}
+
+// ----- the report ------------------------------------------------------------
+
+// FNV-1a over the report's bytes.
+std::uint64_t report_hash(const std::string& report) {
+  std::uint64_t h = 0xCBF2'9CE4'8422'2325ull;
+  for (const char c : report) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x0000'0100'0000'01B3ull;
+  }
+  return h;
+}
+
+TEST(Campaign, DeterministicReportIsByteStable) {
+  // The deterministic report's exact bytes (layout, number formats, key
+  // order) for a fixed campaign, so that a serializer change that alters
+  // them fails here rather than only in the end-to-end benchmark.
+  const campaign::ScenarioSpec spec = small_vehicle(50 * kMillisecond, 2);
+  const std::string report =
+      campaign::CampaignRunner().run(spec).to_json(/*with_timing=*/false);
+  EXPECT_EQ(report_hash(report), 0xd1e0'936e'b045'2f14ull) << report;
+}
+
+TEST(Campaign, ReportEscapesNames) {
+  campaign::ScenarioSpec spec = small_vehicle(20 * kMillisecond, 1);
+  spec.name = "say \"hi\" \\ done\x01";
+  spec.paths[0].name = "path \"q\" \\ \x01";
+  const std::string report =
+      campaign::CampaignRunner().run(spec).to_json(/*with_timing=*/false);
+  EXPECT_NE(report.find(R"("spec": "say \"hi\" \\ done\u0001")"),
+            std::string::npos)
+      << report;
+  EXPECT_NE(report.find(R"("name": "path \"q\" \\ \u0001")"),
+            std::string::npos)
+      << report;
+  EXPECT_EQ(report.find('\x01'), std::string::npos);
+}
+
 // ----- replay ----------------------------------------------------------------
 
 TEST(Campaign, ReplayReproducesAVariantBitIdentically) {

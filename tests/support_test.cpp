@@ -1,11 +1,21 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <cmath>
+#include <limits>
 #include <set>
+#include <stdexcept>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "support/bits.h"
 #include "support/fixed.h"
+#include "support/json.h"
 #include "support/rng.h"
 #include "support/splitmix.h"
+#include "support/worker_pool.h"
 
 namespace aces::support {
 namespace {
@@ -237,6 +247,194 @@ TEST(Rng, SeedSequenceUnchangedBySplitMixMigration) {
   Rng256 g(42);
   EXPECT_EQ(g.next_u64(), 0x15780b2e0c2ec716ull);
   EXPECT_EQ(g.next_u64(), 0x6104d9866d113a7eull);
+}
+
+// ----- JSON writer ------------------------------------------------------------
+
+std::string one_value(const auto& v) {
+  JsonWriter w;
+  w.begin_array().value(v).end();
+  const std::string& s = w.str();
+  return s.substr(1, s.size() - 3);  // strip "[" and "]\n"
+}
+
+TEST(Json, EscapesQuotesBackslashesAndControlCharacters) {
+  EXPECT_EQ(one_value("plain"), R"("plain")");
+  EXPECT_EQ(one_value("say \"hi\" \\ done"), R"("say \"hi\" \\ done")");
+  EXPECT_EQ(one_value("\x01\x1f\n\t"), R"("\u0001\u001f\u000a\u0009")");
+  EXPECT_EQ(one_value(std::string("nul\0byte", 8)), R"("nul\u0000byte")");
+  // Bytes >= 0x20 (DEL, UTF-8 sequences) pass through unchanged.
+  EXPECT_EQ(one_value("\x7f\xc3\xa9"), "\"\x7f\xc3\xa9\"");
+
+  JsonWriter w;
+  w.begin_object().field("k\"ey", 1).end();
+  EXPECT_EQ(w.str(), "{\"k\\\"ey\": 1}\n");
+}
+
+TEST(Json, DoublesUsePrintfG6AndIntegersAreExact) {
+  EXPECT_EQ(one_value(0.0), "0");
+  EXPECT_EQ(one_value(-2.5), "-2.5");
+  EXPECT_EQ(one_value(1.0 / 3.0), "0.333333");
+  EXPECT_EQ(one_value(1022120.5), "1.02212e+06");
+  EXPECT_EQ(one_value(1.0e7), "1e+07");
+  EXPECT_EQ(one_value(1.5e-7), "1.5e-07");
+  EXPECT_EQ(format_g6(123456.0), "123456");
+  EXPECT_EQ(format_g6(1234567.0), "1.23457e+06");
+  // JSON has no NaN or infinity.
+  EXPECT_EQ(one_value(std::nan("")), "null");
+  EXPECT_EQ(one_value(std::numeric_limits<double>::infinity()), "null");
+
+  EXPECT_EQ(one_value(std::numeric_limits<std::int64_t>::min()),
+            "-9223372036854775808");
+  EXPECT_EQ(one_value(std::numeric_limits<std::int64_t>::max()),
+            "9223372036854775807");
+  EXPECT_EQ(one_value(std::numeric_limits<std::uint64_t>::max()),
+            "18446744073709551615");
+  EXPECT_EQ(one_value(std::uint32_t{4000000000u}), "4000000000");
+  EXPECT_EQ(one_value(-7), "-7");
+  EXPECT_EQ(one_value(true), "true");
+  EXPECT_EQ(one_value(false), "false");
+}
+
+TEST(Json, SeparatorsInNestedAndEmptyContainers) {
+  JsonWriter w;
+  w.begin_object();
+  w.key("a").begin_array().end();
+  w.key("b").begin_object().end();
+  w.key("c").begin_array();
+  w.value(1).begin_array(JsonWriter::kPacked).value(2).value(3).end();
+  w.begin_object().field("d", "e").field("f", 0.5).end();
+  w.end();
+  w.end();
+  EXPECT_EQ(w.str(),
+            R"({"a": [], "b": {}, "c": [1, [2,3], {"d": "e", "f": 0.5}]})"
+            "\n");
+}
+
+TEST(Json, LineLayout) {
+  JsonWriter w;
+  w.begin_object(2);
+  w.field("name", "x");
+  w.key("items").begin_array(4);
+  w.begin_object().field("a", 1).line(5).field("b", 2).end();
+  w.begin_object().field("a", 3).end();
+  w.end();
+  w.key("none").begin_array(4).end();
+  w.key("flush").begin_array(0).value(1).end();
+  w.end();
+  EXPECT_EQ(w.str(),
+            "{\n"
+            "  \"name\": \"x\",\n"
+            "  \"items\": [\n"
+            "    {\"a\": 1,\n"
+            "     \"b\": 2},\n"
+            "    {\"a\": 3}\n"
+            "  ],\n"
+            "  \"none\": [],\n"
+            "  \"flush\": [\n"
+            "1\n"
+            "]\n"
+            "}\n");
+}
+
+TEST(Json, RejectsMalformedDocuments) {
+  JsonWriter member_without_key;
+  member_without_key.begin_object();
+  EXPECT_THROW(member_without_key.value(1), std::logic_error);
+
+  JsonWriter key_in_array;
+  key_in_array.begin_array();
+  EXPECT_THROW(key_in_array.key("k"), std::logic_error);
+
+  JsonWriter dangling_key;
+  dangling_key.begin_object().key("k");
+  EXPECT_THROW(dangling_key.end(), std::logic_error);
+
+  JsonWriter two_roots;
+  two_roots.begin_object().end();
+  EXPECT_THROW(two_roots.begin_object(), std::logic_error);
+  EXPECT_THROW(JsonWriter().end(), std::logic_error);
+}
+
+TEST(Json, WriteFileFailsLoudly) {
+  JsonWriter w;
+  w.begin_object().end();
+  EXPECT_THROW(write_json_file("/nonexistent-dir/out.json", w),
+               std::logic_error);
+}
+
+// ----- worker pool ------------------------------------------------------------
+
+TEST(WorkerPool, ResolvesZeroToHardwareThreads) {
+  EXPECT_EQ(resolve_threads(0),
+            std::max(1u, std::thread::hardware_concurrency()));
+  EXPECT_EQ(resolve_threads(3), 3u);
+  EXPECT_EQ(WorkerPool(0).threads(), resolve_threads(0));
+}
+
+class WorkerPoolAt : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(WorkerPoolAt, RunsEveryIndexExactlyOnce) {
+  WorkerPool pool(GetParam());
+  EXPECT_EQ(pool.threads(), GetParam());
+  for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{3},
+                              std::size_t{1000}}) {
+    std::vector<std::atomic<int>> runs(n);
+    pool.run(n, [&](std::size_t i) { runs[i].fetch_add(1); });
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(runs[i].load(), 1) << "index " << i << " of " << n;
+    }
+  }
+}
+
+TEST_P(WorkerPoolAt, RethrowsTheLowestIndexExceptionAfterTheBatch) {
+  WorkerPool pool(GetParam());
+  constexpr std::size_t kN = 200;
+  std::vector<std::atomic<int>> runs(kN);
+  std::string what;
+  try {
+    pool.run(kN, [&](std::size_t i) {
+      runs[i].fetch_add(1);
+      if (i == 150 || i == 40 || i == 90) {
+        throw std::runtime_error("index " + std::to_string(i));
+      }
+    });
+  } catch (const std::runtime_error& e) {
+    what = e.what();
+  }
+  EXPECT_EQ(what, "index 40");
+  for (std::size_t i = 0; i < kN; ++i) {
+    EXPECT_EQ(runs[i].load(), 1) << "index " << i;  // the batch completed
+  }
+
+  // Any exception type travels, and the pool is reusable afterwards.
+  EXPECT_THROW(pool.run(4, [](std::size_t i) {
+                 if (i == 2) {
+                   throw 7;
+                 }
+               }),
+               int);
+  std::atomic<std::size_t> sum{0};
+  pool.run(100, [&](std::size_t i) { sum.fetch_add(i); });
+  EXPECT_EQ(sum.load(), 4950u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Threads, WorkerPoolAt, ::testing::Values(1u, 2u, 4u));
+
+TEST(WorkerPool, OneThreadRunsInlineInIndexOrder) {
+  WorkerPool pool(1);
+  std::vector<std::size_t> order;
+  std::set<std::thread::id> ids;
+  pool.run(50, [&](std::size_t i) {
+    order.push_back(i);
+    ids.insert(std::this_thread::get_id());
+  });
+  ASSERT_EQ(order.size(), 50u);
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    EXPECT_EQ(order[i], i);
+  }
+  ASSERT_EQ(ids.size(), 1u);
+  EXPECT_EQ(*ids.begin(), std::this_thread::get_id());
 }
 
 }  // namespace

@@ -79,7 +79,8 @@ TEST(Suite, DensityShapeHolds) {
   }
   // Paper shape: both compressed encodings are far denser than W32 and B32
   // is at least as dense as N16 (the paper reports 57%/57%; our teaching-
-  // grade allocator lands N16 nearer 75%, see EXPERIMENTS.md).
+  // grade allocator lands N16 nearer 72%, see "Reproducing the paper" in
+  // README.md).
   EXPECT_LT(n, w * 80 / 100) << "N16 should be well under 80% of W32";
   EXPECT_LT(b, w * 70 / 100) << "B32 should be well under 70% of W32";
   EXPECT_LE(b, n) << "B32 must not be less dense than N16";
