@@ -59,11 +59,8 @@ void IssThroughput(benchmark::State& state, cpu::SystemBuilder builder,
   }
 }
 
-cpu::SystemBuilder iss_system(MemRegime regime, std::uint32_t cache_lines,
-                              cpu::DispatchTier tier) {
-  return system_for(isa::Encoding::b32, regime)
-      .decode_cache_lines(cache_lines)
-      .dispatch_tier(tier);
+cpu::SystemBuilder iss_system(MemRegime regime, cpu::DispatchTier tier) {
+  return system_for(isa::Encoding::b32, regime).dispatch_tier(tier);
 }
 
 // The three-tier ladder CI tracks (BENCH_core.json): superblock is the
@@ -72,14 +69,14 @@ cpu::SystemBuilder iss_system(MemRegime regime, std::uint32_t cache_lines,
 // baseline. The perf smoke gate asserts Superblock >= 2x the per-insn tier
 // on zero-wait memory and on slow flash.
 void BM_IssInstructionThroughputSuperblock(benchmark::State& state) {
-  IssThroughput(state, iss_system(MemRegime::zero_wait, 2048,
-                                  cpu::DispatchTier::superblock));
+  IssThroughput(
+      state, iss_system(MemRegime::zero_wait, cpu::DispatchTier::superblock));
 }
 BENCHMARK(BM_IssInstructionThroughputSuperblock);
 
 void BM_IssInstructionThroughput(benchmark::State& state) {
-  IssThroughput(state, iss_system(MemRegime::zero_wait, 2048,
-                                  cpu::DispatchTier::per_insn));
+  IssThroughput(state,
+                iss_system(MemRegime::zero_wait, cpu::DispatchTier::per_insn));
 }
 BENCHMARK(BM_IssInstructionThroughput);
 
@@ -87,21 +84,21 @@ BENCHMARK(BM_IssInstructionThroughput);
 // the speedup is visible in every BENCH_core.json artifact.
 void BM_IssInstructionThroughputUncached(benchmark::State& state) {
   IssThroughput(state,
-                iss_system(MemRegime::zero_wait, 0, cpu::DispatchTier::off));
+                iss_system(MemRegime::zero_wait, cpu::DispatchTier::off));
 }
 BENCHMARK(BM_IssInstructionThroughputUncached);
 
 // §2.2's regime, the default flash every modeled MCU runs from: 5 wait
 // states behind the prefetch streamer, which superblocks charge inline.
 void BM_IssInstructionThroughputSuperblockSlowFlash(benchmark::State& state) {
-  IssThroughput(state, iss_system(MemRegime::slow_flash, 2048,
-                                  cpu::DispatchTier::superblock));
+  IssThroughput(
+      state, iss_system(MemRegime::slow_flash, cpu::DispatchTier::superblock));
 }
 BENCHMARK(BM_IssInstructionThroughputSuperblockSlowFlash);
 
 void BM_IssInstructionThroughputSlowFlash(benchmark::State& state) {
-  IssThroughput(state, iss_system(MemRegime::slow_flash, 2048,
-                                  cpu::DispatchTier::per_insn));
+  IssThroughput(state,
+                iss_system(MemRegime::slow_flash, cpu::DispatchTier::per_insn));
 }
 BENCHMARK(BM_IssInstructionThroughputSlowFlash);
 

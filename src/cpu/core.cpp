@@ -29,21 +29,20 @@ Core::Core(CoreConfig config, mem::MemPort& ifetch, mem::MemPort& data)
       codec_(isa::codec_for(config.encoding)),
       fetch_unit_(config.encoding == isa::Encoding::w32 ? 4 : 2),
       ifetch_(ifetch),
-      data_(data) {
+      data_(data),
+      ibus_(ifetch.transparent_bus()),
+      dbus_(data.transparent_bus()),
+      // Behind an ifetch port with timing of its own (an I-cache) no fetch
+      // cost is reproducible without the port, so no block could ever form.
+      tier_(config.dispatch_tier == DispatchTier::superblock &&
+                    ibus_ == nullptr
+                ? DispatchTier::per_insn
+                : config.dispatch_tier) {
   privileged_ = config_.privileged;
-  if (config_.decode_cache_lines != 0) {
-    const unsigned pc_shift = fetch_unit_ / 2;  // log2 of the unit
-    dcache_.emplace(config_.decode_cache_lines, pc_shift);
-    // Behind an ifetch port with timing of its own (an I-cache) no fetch
-    // cost is reproducible without the port, so no block could ever form.
-    if (config_.dispatch_tier == DispatchTier::superblock &&
-        ifetch_.transparent()) {
-      sbcache_.emplace(config_.decode_cache_lines, pc_shift);
-    }
+  if (tier_ != DispatchTier::off) {
+    code_.emplace(fetch_unit_ / 2,  // log2 of the unit
+                  tier_ == DispatchTier::superblock);
   }
-  code_snoop_.wire(dcache_ ? &*dcache_ : nullptr,
-                   sbcache_ ? &*sbcache_ : nullptr);
-  data_spans_ok_ = data_.transparent();
 }
 
 void Core::reset(std::uint32_t entry_pc, std::uint32_t initial_sp) {
@@ -67,11 +66,11 @@ void Core::reset(std::uint32_t entry_pc, std::uint32_t initial_sp) {
 // ----- memory helpers --------------------------------------------------------
 
 bool Core::acquire_data_span(std::uint32_t addr) {
-  if (!data_spans_ok_ || addr - nospan_base_ < nospan_size_) {
+  if (dbus_ == nullptr || addr - nospan_base_ < nospan_size_) {
     return false;
   }
   mem::DirectSpan s;
-  if (data_.direct_span(addr, &s) && s.data != nullptr && s.size >= 4) {
+  if (dbus_->direct_span(addr, &s) && s.data != nullptr && s.size >= 4) {
     dspan_ = s;
     return true;
   }
@@ -139,11 +138,8 @@ bool Core::mem_write(std::uint32_t addr, unsigned size, std::uint32_t value,
   }
   // Self-modifying code: the store may overwrite instructions this core has
   // already decoded (two compares when it doesn't, which is almost always).
-  if (dcache_) {
-    dcache_->snoop_write(addr, size);
-  }
-  if (sbcache_) {
-    sbcache_->snoop_write(addr, size);
+  if (code_) {
+    code_->snoop_write(addr, size);
   }
   ++stats_.stores;
   return true;
@@ -300,9 +296,9 @@ bool Core::fetch(std::uint32_t pc, FetchMode mode, Decoded* out,
   // The state-free price of the reads so far (SRAM; flash in its 1-cycle or
   // prefetch-off regimes), asked before each read; nullopt once any read's
   // cost depends on device state. Only worth asking when the answer can be
-  // cached.
+  // cached, and only a port without timing of its own can give it.
   std::optional<std::uint32_t> price;
-  if (probe || (mode == FetchMode::run && dcache_)) {
+  if (ibus_ != nullptr && (probe || (mode == FetchMode::run && code_))) {
     price = 0;
   }
   std::uint8_t buf[4] = {0, 0, 0, 0};
@@ -310,7 +306,7 @@ bool Core::fetch(std::uint32_t pc, FetchMode mode, Decoded* out,
     const std::uint32_t addr = pc + offset;
     if (price) {
       const std::optional<std::uint32_t> cost =
-          ifetch_.fixed_fetch_cost(addr, size);
+          ibus_->fixed_fetch_cost(addr, size);
       price = cost ? std::optional<std::uint32_t>(*price + *cost)
                    : std::nullopt;
     }
@@ -373,7 +369,7 @@ bool Core::fetch(std::uint32_t pc, FetchMode mode, Decoded* out,
 
 bool Core::streamer_covers(std::uint32_t addr, std::uint32_t size) {
   if (addr - fstream_.base >= fstream_.size) {
-    (void)ifetch_.fetch_streamer(addr, &fstream_);
+    (void)ibus_->fetch_streamer(addr, &fstream_);
   }
   const std::uint32_t off = addr - fstream_.base;
   return fstream_.flash != nullptr && off < fstream_.size &&
@@ -453,7 +449,7 @@ void Core::step_insn() {
   const Decoded* d = nullptr;
   Decoded fresh;
 
-  if (dcache_) {
+  if (code_) {
     // Units that change fetch results without touching memory carry version
     // counters; compare them before trusting a hit (only when they exist).
     if (fpb_ != nullptr && fpb_->version() != fpb_version_seen_) {
@@ -464,9 +460,9 @@ void Core::step_insn() {
       mpu_version_seen_ = mpu_->version();
       invalidate_decoded();
     }
-    DecodeCache::Line* line = dcache_->lookup(cur_pc_);
+    CodeCache::Line* line = code_->line(cur_pc_);
     if (line != nullptr && line->privileged == privileged_) {
-      ++dcache_->stats().hits;
+      ++code_->stats().decode_hits;
       if (line->replay == FetchReplay::fixed) {
         fetch_cycles = line->fixed_cycles;
       } else if (!fetch(cur_pc_, FetchMode::replay, nullptr, &fetch_cycles,
@@ -479,7 +475,7 @@ void Core::step_insn() {
       // the reference stays stable even if execute() snoops a store.
       d = &line->d;
     } else {
-      ++dcache_->stats().misses;
+      ++code_->stats().decode_misses;
     }
   }
 
@@ -489,12 +485,10 @@ void Core::step_insn() {
       cycles_ += fetch_cycles;
       return;
     }
-    if (dcache_) {
-      dcache_->install(cur_pc_, fresh, replay,
-                       replay == FetchReplay::fixed ? fetch_cycles : 0,
-                       privileged_);
-      code_snoop_.widen(cur_pc_,
-                        cur_pc_ + static_cast<std::uint32_t>(fresh.size));
+    if (code_) {
+      code_->install_line(cur_pc_, fresh, replay,
+                          replay == FetchReplay::fixed ? fetch_cycles : 0,
+                          privileged_);
     }
     d = &fresh;
   }
@@ -567,25 +561,12 @@ HaltReason Core::run(std::uint64_t max_instructions) {
 
 Core::JitStats Core::jit_stats() const {
   JitStats s;
-  if (dcache_) {
-    const DecodeCache::Stats& d = dcache_->stats();
-    s.decode_hits = d.hits;
-    s.decode_misses = d.misses;
-    s.decode_invalidations = d.invalidations;
+  if (code_) {
+    static_cast<CodeCache::Stats&>(s) = code_->stats();
   }
-  if (sbcache_) {
-    const SuperblockCache::Stats& b = sbcache_->stats();
-    s.blocks_formed = b.blocks_formed;
-    s.blocks_killed = b.blocks_killed;
-    s.block_splits = b.block_splits;
-    s.block_flushes = b.block_flushes;
-    s.block_hits = b.hits;
-    s.block_misses = b.misses;
-    s.block_instructions = b.block_instructions;
-    if (b.blocks_formed > 0) {
-      s.avg_block_length = static_cast<double>(b.entries_chained) /
-                           static_cast<double>(b.blocks_formed);
-    }
+  if (s.blocks_formed > 0) {
+    s.avg_block_length = static_cast<double>(s.entries_chained) /
+                         static_cast<double>(s.blocks_formed);
   }
   return s;
 }

@@ -25,8 +25,7 @@
 #include <functional>
 #include <optional>
 
-#include "cpu/decode_cache.h"
-#include "cpu/superblock.h"
+#include "cpu/code_cache.h"
 #include "cpu/timings.h"
 #include "isa/codec.h"
 #include "isa/isa.h"
@@ -81,14 +80,10 @@ struct CoreConfig {
   bool restartable_ldm = false;
   // Initial privilege (OSEK kernels run tasks unprivileged).
   bool privileged = true;
-  // Decoded-instruction cache size (direct-mapped, power of two). 0
-  // disables all caching — every step then decodes from scratch, which is
-  // the reference the differential tests compare the cached runs against.
-  // Host-side speed only; retired (pc, cycles) traces are identical.
-  std::uint32_t decode_cache_lines = 2048;
-  // Requested speed tier; clamped to `off` when decode_cache_lines == 0,
-  // and from superblock to per_insn behind an ifetch port that interposes
-  // timing of its own (an I-cache), where no block could form.
+  // Requested speed tier (`off` is the uncached reference the differential
+  // tests compare the cached tiers against); clamped from superblock to
+  // per_insn behind an ifetch port that interposes timing of its own (an
+  // I-cache), where no block could form.
   DispatchTier dispatch_tier = DispatchTier::superblock;
 };
 
@@ -184,49 +179,24 @@ class Core {
   };
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
-  // ----- decoded-instruction cache / superblock tier -----
-  [[nodiscard]] DecodeCache* decode_cache() {
-    return dcache_ ? &*dcache_ : nullptr;
-  }
-  [[nodiscard]] SuperblockCache* superblock_cache() {
-    return sbcache_ ? &*sbcache_ : nullptr;
-  }
+  // ----- code cache (decode lines + superblocks) -----
+  // The core's code cache, or nullptr on the uncached tier. It is also the
+  // bus write snoop System wires up for host pokes and image reloads.
+  [[nodiscard]] CodeCache* code_cache() { return code_ ? &*code_ : nullptr; }
   // The tier actually running (the config request, clamped).
-  [[nodiscard]] DispatchTier dispatch_tier() const {
-    return sbcache_   ? DispatchTier::superblock
-           : dcache_ ? DispatchTier::per_insn
-                      : DispatchTier::off;
-  }
-  // The bus-facing write snoop covering every decoded-code cache this core
-  // keeps (System wires it to the bus), or nullptr when nothing is cached.
-  [[nodiscard]] mem::WriteSnoop* code_write_snoop() {
-    return (dcache_ || sbcache_) ? &code_snoop_ : nullptr;
-  }
+  [[nodiscard]] DispatchTier dispatch_tier() const { return tier_; }
   // Drops every cached decode and superblock (used by the fault-injector
   // upset hook and anything else that mutates code behind the memory
   // system's back).
   void invalidate_decoded() {
-    if (dcache_) {
-      dcache_->invalidate_all();
+    if (code_) {
+      code_->invalidate_all();
     }
-    if (sbcache_) {
-      sbcache_->invalidate_all();
-    }
-    code_snoop_.clear_window();
   }
 
-  // Aggregated speed-tier counters (decode cache + superblock cache).
-  struct JitStats {
-    std::uint64_t decode_hits = 0;
-    std::uint64_t decode_misses = 0;
-    std::uint64_t decode_invalidations = 0;
-    std::uint64_t blocks_formed = 0;
-    std::uint64_t blocks_killed = 0;
-    std::uint64_t block_splits = 0;
-    std::uint64_t block_flushes = 0;
-    std::uint64_t block_hits = 0;
-    std::uint64_t block_misses = 0;
-    std::uint64_t block_instructions = 0;
+  // Speed-tier counters: the code cache's (all zero on the uncached tier)
+  // and the mean formed block length.
+  struct JitStats : CodeCache::Stats {
     double avg_block_length = 0.0;  // entries per formed block
   };
   [[nodiscard]] JitStats jit_stats() const;
@@ -281,13 +251,13 @@ class Core {
   // the pc holds a negative marker (then it costs one lookup, not a span
   // entry) and no parked block cursor may resume there.
   [[nodiscard]] bool takes_span() {
-    return sbcache_ &&
+    return tier_ == DispatchTier::superblock &&
            (sb_resume_block_ != nullptr ||
-            !sbcache_->marked_unformable(regs_[isa::pc], privileged_));
+            !code_->marked_unformable(regs_[isa::pc], privileged_));
   }
   // Builds and installs the superblock starting at `start_pc`, or a
   // negative marker (no entries) when fewer than two entries chain.
-  SuperblockCache::Block* form_superblock(std::uint32_t start_pc);
+  CodeCache::Block* form_superblock(std::uint32_t start_pc);
   // True when [addr, addr + size) lies in the flash streamer fstream_
   // covers, re-probing the ifetch port when addr is outside that window.
   bool streamer_covers(std::uint32_t addr, std::uint32_t size);
@@ -367,6 +337,11 @@ class Core {
   const unsigned fetch_unit_;
   mem::MemPort& ifetch_;
   mem::MemPort& data_;
+  // The ports' buses when the ports add no timing of their own (else
+  // nullptr): fetch pricing, streamers and data spans are asked of them.
+  mem::Bus* const ibus_;
+  mem::Bus* const dbus_;
+  const DispatchTier tier_;
   mem::Mpu* mpu_ = nullptr;
   InterruptController* intc_ = nullptr;
   FlashPatchUnit* fpb_ = nullptr;
@@ -392,13 +367,11 @@ class Core {
   CycleHook cycle_hook_;
 
   // ----- fast paths -----
-  std::optional<DecodeCache> dcache_;
-  std::optional<SuperblockCache> sbcache_;
-  CodeWriteSnoop code_snoop_;
+  std::optional<CodeCache> code_;  // absent on the uncached tier
   // Resume cursor: where block execution bailed on an instruction/cycle
   // limit, so the next span re-enters mid-block instead of missing. Valid
   // only while (gen, seq, pc, privilege) still match.
-  SuperblockCache::Block* sb_resume_block_ = nullptr;
+  CodeCache::Block* sb_resume_block_ = nullptr;
   std::uint32_t sb_resume_seq_ = 0;
   std::uint32_t sb_resume_idx_ = 0;
   std::uint32_t fpb_version_seen_ = 0;
@@ -412,7 +385,6 @@ class Core {
   // Cached data-side DirectSpan (size 0: none) plus a negative window for
   // the last mapped region that declined (peripherals), so the hot
   // load/store path settles to raw host accesses with zero virtual calls.
-  bool data_spans_ok_ = false;
   mem::DirectSpan dspan_;
   std::uint32_t nospan_base_ = 0;
   std::uint32_t nospan_size_ = 0;

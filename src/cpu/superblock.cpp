@@ -1,21 +1,49 @@
-// SuperblockCache bookkeeping + the superblock execution tier of Core:
-// formation (form_superblock) and the threaded-dispatch executor
-// (run_span). See superblock.h for the invalidation contract. This file
-// classifies, dispatches and charges cycles; every instruction result
-// comes from cpu/semantics.h, shared with Core::execute().
+// Superblock tier: straight-line runs of decoded instructions executed by a
+// threaded-dispatch loop (core.cpp's per-instruction tier is the fallback).
+// This file holds formation (Core::form_superblock) and the executor
+// (Core::run_span); the blocks live in the code cache (code_cache.h, which
+// also states the invalidation contract).
+//
+// A superblock chains consecutive decode-line-grade entries starting at a
+// block-entry pc and ending at the first terminator: any branch, any op that
+// can leave the straight line (svc/bkpt/wfi, pop/ldm touching pc, any
+// rd==pc writer), a 1 KiB page boundary, or the length cap. Every entry
+// records how to reproduce its *modeled* fetch cost, so block execution
+// charges exactly the cycles the per-instruction tier would — the tiers are
+// bit-identical in (pc, cycles) traces and flash streamer statistics,
+// proven by the three-way differential fuzzer.
+//
+// Formation accepts every pc whose fetch cost the core can reproduce
+// exactly without the port: state-free fetches (Bus::fixed_fetch_cost
+// answers: SRAM, flash in its 1-cycle or prefetch-off regimes, FPB patch
+// RAM) are charged their fixed price, and streamer-backed flash
+// (Bus::fetch_streamer answers: the default wait-stated regimes) is
+// charged by running the flash's own streamer protocol inline at each
+// entry, with one or two reads exactly as the per-instruction tier issues
+// them. Behind an I-cache fronted ifetch port nothing qualifies, so the
+// core does not build this tier at all (the request clamps to per_insn).
+// Elsewhere — TCM under a fault injector — a pc that fails formation holds
+// a negative marker in its block slot and runs per-instruction, replaying
+// fetches through the port so stateful timing advances exactly.
+//
+// Handlers share the per-instruction tier's semantics rather than copying
+// them: each specialized handler is the predication gate, a call into
+// cpu/semantics.h with a constant op, and the entry's cycle charge.
+// Interrupts are polled at every entry boundary, gated by
+// InterruptController::dispatch_needed(), so IRQ delivery instants are
+// unchanged from the per-instruction tier.
 //
 // Dispatch is a computed-goto loop on GNU-compatible compilers (built with
 // -fno-gcse so GCC does not merge the indirect jumps back into one —
 // clang needs no flag). Define ACES_SB_SWITCH_DISPATCH to force the
 // portable switch fallback; both compile to the same handler bodies.
 
-#include "cpu/superblock.h"
-
 #include <algorithm>
 #include <cstddef>
 #include <iterator>
 #include <limits>
 
+#include "cpu/code_cache.h"
 #include "cpu/core.h"
 #include "cpu/fpb.h"
 #include "cpu/hostmem.h"
@@ -33,86 +61,6 @@ using isa::Cond;
 using isa::Instruction;
 using isa::Op;
 using isa::SetFlags;
-
-// ----- SuperblockCache -------------------------------------------------------
-
-SuperblockCache::SuperblockCache(std::uint32_t num_blocks, unsigned pc_shift)
-    : blocks_(num_blocks), mask_(num_blocks - 1), pc_shift_(pc_shift) {
-  scratch_.reserve(kMaxEntries);
-}
-
-SuperblockCache::Block* SuperblockCache::install(std::uint32_t start_pc,
-                                                 std::uint32_t end_pc,
-                                                 bool privileged) {
-  Block& b = blocks_[(start_pc >> pc_shift_) & mask_];
-  if (b.gen == generation_ && !b.entries.empty()) {
-    ++stats_.blocks_killed;  // direct-mapped eviction
-    --live_;
-  }
-  b.entries.swap(scratch_);
-  b.start_pc = start_pc;
-  b.end_pc = end_pc;
-  b.gen = generation_;
-  ++b.seq;
-  b.privileged = privileged;
-  watch_lo_ = std::min(watch_lo_, b.start_pc);
-  watch_hi_ = std::max(watch_hi_, b.end_pc);
-  if (!b.entries.empty()) {
-    ++live_;
-    ++stats_.blocks_formed;
-    stats_.entries_chained += b.entries.size();
-  }
-  return &b;
-}
-
-void SuperblockCache::invalidate_all() {
-  ++stats_.block_flushes;
-  stats_.blocks_killed += live_;
-  live_ = 0;
-  watch_lo_ = 0xFFFF'FFFFu;
-  watch_hi_ = 0;
-  if (++generation_ == 0) {
-    // Generation wrap: scrub so no stale block can ever re-match.
-    for (Block& b : blocks_) {
-      b.gen = 0;
-    }
-    generation_ = 1;
-  }
-}
-
-void SuperblockCache::invalidate_range(std::uint32_t addr, std::uint32_t len) {
-  if (len > 256) {
-    invalidate_all();  // image reload: not worth probing per word
-    return;
-  }
-  // A block (or negative marker) overlapping [addr, addr+len) must start in
-  // (addr - kMaxSpanBytes, addr + len): probe every aligned candidate start.
-  // Bounded (~kMaxSpanBytes/step + len/step probes) and only reached when
-  // the write already hit the watch window.
-  const std::uint64_t wend = static_cast<std::uint64_t>(addr) + len;
-  const std::uint32_t step = 1u << pc_shift_;
-  std::uint64_t s = addr > (kMaxSpanBytes - step)
-                        ? (addr - (kMaxSpanBytes - step)) & ~(step - 1)
-                        : 0;
-  for (; s < wend; s += step) {
-    const auto pc = static_cast<std::uint32_t>(s);
-    Block& b = blocks_[(pc >> pc_shift_) & mask_];
-    if (b.gen != generation_ || b.start_pc != pc) {
-      continue;
-    }
-    if (b.end_pc > addr && static_cast<std::uint64_t>(b.start_pc) < wend) {
-      b.gen = 0;
-      if (b.entries.empty()) {
-        continue;  // a marker: the rewritten bytes may now chain
-      }
-      --live_;
-      ++stats_.blocks_killed;
-      if (addr > b.start_pc) {
-        ++stats_.block_splits;  // landed strictly inside the chained range
-      }
-    }
-  }
-}
 
 // ----- formation -------------------------------------------------------------
 
@@ -319,9 +267,9 @@ ExecClass classify(const Instruction& i, std::uint32_t pc, bool has_mpu,
 
 }  // namespace
 
-SuperblockCache::Block* Core::form_superblock(std::uint32_t start_pc) {
-  SuperblockCache& sb = *sbcache_;
-  std::vector<SuperblockCache::Entry>& out = sb.scratch();
+CodeCache::Block* Core::form_superblock(std::uint32_t start_pc) {
+  CodeCache& cc = *code_;
+  std::vector<CodeCache::Entry>& out = cc.scratch();
   out.clear();
   std::uint32_t pc = start_pc;
   // Open IT body being specialized. A body slot must be a pure in-dispatch
@@ -333,18 +281,18 @@ SuperblockCache::Block* Core::form_superblock(std::uint32_t start_pc) {
   std::size_t it_index = 0;  // scratch index of the open body's IT entry
   std::array<isa::Cond, 4> it_conds{};
   bool terminated = false;
-  while (!terminated && out.size() < SuperblockCache::kMaxEntries) {
-    if (((pc ^ start_pc) & ~(SuperblockCache::kPageBytes - 1)) != 0) {
+  while (!terminated && out.size() < CodeCache::kMaxEntries) {
+    if (((pc ^ start_pc) & ~(CodeCache::kPageBytes - 1)) != 0) {
       break;  // page boundary: bounds the blast radius of one guest write
     }
     // Decode ahead without charging cycles or advancing a streamer: a valid
-    // decode-cache line already proved what a probe fetch checks (MPU fetch
+    // decode line already proved what a probe fetch checks (MPU fetch
     // check under this privilege, FPB miss at the current version — entry
     // gates compared versions before we got here), and a fixed one its
     // state-free cost; a replayed one still needs a streamer under it.
-    SuperblockCache::Entry e;
+    CodeCache::Entry e;
     FetchReplay replay = FetchReplay::fixed;
-    if (const DecodeCache::Line* line = dcache_->lookup(pc);
+    if (const CodeCache::Line* line = cc.line(pc);
         line != nullptr && line->privileged == privileged_ &&
         (line->replay == FetchReplay::fixed ||
          streamer_covers(pc, static_cast<std::uint32_t>(line->d.size)))) {
@@ -402,7 +350,7 @@ SuperblockCache::Block* Core::form_superblock(std::uint32_t start_pc) {
     e.base_cycles = std::max(e.fetch_cycles, config_.timings.data_op);
     e.dispatch = static_cast<std::uint8_t>(
         static_cast<std::uint8_t>(e.klass) +
-        (replay == FetchReplay::fixed ? 0 : SuperblockCache::kStreamed));
+        (replay == FetchReplay::fixed ? 0 : CodeCache::kStreamed));
     out.push_back(e);
     pc += static_cast<std::uint32_t>(e.d.size);
   }
@@ -417,13 +365,11 @@ SuperblockCache::Block* Core::form_superblock(std::uint32_t start_pc) {
     // marker over the bytes formation examined (up to the failed fetch).
     out.clear();
     end_pc = start_pc + std::min(pc + 4 - start_pc,
-                                 SuperblockCache::kMaxSpanBytes);
+                                 CodeCache::kMaxSpanBytes);
   } else {
     end_pc = out.back().pc + static_cast<std::uint32_t>(out.back().d.size);
   }
-  SuperblockCache::Block* b = sb.install(start_pc, end_pc, privileged_);
-  code_snoop_.widen(start_pc, end_pc);
-  return b;
+  return cc.install_block(start_pc, end_pc, privileged_);
 }
 
 // ----- threaded-dispatch executor --------------------------------------------
@@ -480,7 +426,7 @@ namespace {
 // halfword stream, the second halfword at now + first. Out of line so the
 // protocol is not copied into every dispatch stub.
 [[gnu::noinline]] std::uint32_t stream_fetch(const mem::FetchStreamer& s,
-                                             const SuperblockCache::Entry& e,
+                                             const CodeCache::Entry& e,
                                              unsigned unit, std::uint64_t now) {
   const std::uint32_t off = e.pc - s.base;
   std::uint32_t cycles = s.flash->stream_fetch(off, unit, now);
@@ -503,19 +449,19 @@ void Core::run_span(std::uint64_t ilimit, std::uint64_t climit) {
           ACES_SB_FOR_EACH_CLASS(ACES_SB_STREAM_LABEL_ADDR)};
 #undef ACES_SB_LABEL_ADDR
 #undef ACES_SB_STREAM_LABEL_ADDR
-  static_assert(std::size(kLabels) == 2 * SuperblockCache::kStreamed,
+  static_assert(std::size(kLabels) == 2 * CodeCache::kStreamed,
                 "kLabels must cover every ExecClass in order, twice");
 #endif
   // All locals up front: the handler gotos may not jump over initialized
   // declarations at function scope.
-  SuperblockCache& sb = *sbcache_;
+  CodeCache& cc = *code_;
   const CoreTimings& t = config_.timings;
-  SuperblockCache::Block* block = nullptr;
+  CodeCache::Block* block = nullptr;
   // Entries are mutable only for the streamed stubs' per-execution fetch.
-  SuperblockCache::Entry* e = nullptr;     // cursor (the hot induction)
-  SuperblockCache::Entry* ents = nullptr;  // first entry (loop-back)
-  SuperblockCache::Entry* eend = nullptr;  // one past the last entry
-  SuperblockCache::Entry* estop = nullptr;  // next mandatory slow check
+  CodeCache::Entry* e = nullptr;      // cursor (the hot induction)
+  CodeCache::Entry* ents = nullptr;   // first entry (loop-back)
+  CodeCache::Entry* eend = nullptr;   // one past the last entry
+  CodeCache::Entry* estop = nullptr;  // next mandatory slow check
   // Span-invariant attention state. All three are host-API-owned (nothing a
   // guest instruction, device write, or the hook itself can install or
   // remove mid-span), so hoisting them keeps the interior boundary down to
@@ -544,7 +490,7 @@ void Core::run_span(std::uint64_t ilimit, std::uint64_t climit) {
   // slots back in the same block. Cold paths only — exception stacking and
   // per-insn fallback must see the exact psr bits; the dispatcher itself
   // runs the body on conditions baked into the entries.
-  const auto materialize_it = [this](const SuperblockCache::Entry* be) {
+  const auto materialize_it = [this](const CodeCache::Entry* be) {
     start_it(be[-static_cast<std::ptrdiff_t>(be->it_info)].d.insn);
     const auto pos = static_cast<std::uint8_t>(be->it_info - 1);
     it_pos_ = pos;
@@ -557,24 +503,22 @@ void Core::run_span(std::uint64_t ilimit, std::uint64_t climit) {
     const std::uint64_t d_ = done - flushed;   \
     insns_ += d_;                              \
     stats_.instructions += d_;                 \
-    sb.stats().block_instructions += d_;       \
+    cc.stats().block_instructions += d_;       \
     flushed = done;                            \
   } while (0)
 
   // The caller (step / run_chunk) has already serviced this boundary's
   // attention (cycle hook, WFI gate, interrupt poll), so entry and cursor
   // resume dispatch directly; run_span services every *interior* boundary.
-  if (dcache_) {
-    if ((fpb_ != nullptr && fpb_->version() != fpb_version_seen_) ||
-        (mpu_ != nullptr && mpu_->version() != mpu_version_seen_)) {
-      step_insn();  // refreshes seen versions + invalidates both caches
-      return;
-    }
+  if ((fpb_ != nullptr && fpb_->version() != fpb_version_seen_) ||
+      (mpu_ != nullptr && mpu_->version() != mpu_version_seen_)) {
+    step_insn();  // refreshes seen versions + flushes the code cache
+    return;
   }
   if (sb_resume_block_ != nullptr) {
-    SuperblockCache::Block* rb = sb_resume_block_;
+    CodeCache::Block* rb = sb_resume_block_;
     sb_resume_block_ = nullptr;
-    if (rb->gen == sb.generation() && rb->seq == sb_resume_seq_ &&
+    if (rb->gen == cc.generation() && rb->seq == sb_resume_seq_ &&
         rb->privileged == privileged_ &&
         sb_resume_idx_ < rb->entries.size() &&
         rb->entries[sb_resume_idx_].pc == regs_[isa::pc]) {
@@ -600,16 +544,16 @@ void Core::run_span(std::uint64_t ilimit, std::uint64_t climit) {
     step_insn();
     return;
   }
-  block = sb.lookup(regs_[isa::pc], privileged_);
+  block = cc.block(regs_[isa::pc], privileged_);
   if (block == nullptr) {
     block = form_superblock(regs_[isa::pc]);
   } else if (!block->entries.empty()) {
-    ++sb.stats().hits;
+    ++cc.stats().block_hits;
   }
   if (block->entries.empty()) {
     // Formation just failed here and left a negative marker (the callers
     // route pcs already marked straight to step_insn).
-    ++sb.stats().misses;
+    ++cc.stats().block_misses;
     step_insn();
     return;
   }
@@ -658,7 +602,7 @@ dispatch_switch:
 #define ACES_SB_CASE(name)                                      \
   case static_cast<std::uint8_t>(ExecClass::name):              \
     goto lbl_##name;                                            \
-  case SuperblockCache::kStreamed +                             \
+  case CodeCache::kStreamed +                                   \
       static_cast<std::uint8_t>(ExecClass::name):               \
     goto lbl_stream_##name;
     ACES_SB_FOR_EACH_CLASS(ACES_SB_CASE)
@@ -807,9 +751,8 @@ lbl_cbz : {
     ++stats_.stores;                                                        \
     cyc += std::max(e->fetch_cycles, t.data_op + t.store_extra +           \
                                          dspan_.write_cycles);              \
-    dcache_->snoop_write(addr, (SIZE));                                     \
-    sb.snoop_write(addr, (SIZE));                                           \
-    if (block->gen != sb.generation()) {                                    \
+    cc.snoop_write(addr, (SIZE));                                           \
+    if (block->gen != cc.generation()) {                                    \
       regs_[isa::pc] = e->pc + static_cast<std::uint32_t>(e->d.size);       \
       SB_SYNC();                                                            \
       return; /* self-modifying store killed this very block */             \
@@ -866,7 +809,7 @@ slow_entry : {
   if (regs_[isa::pc] != e->pc + static_cast<std::uint32_t>(e->d.size)) {
     goto pc_changed;
   }
-  if (block->gen != sb.generation()) {
+  if (block->gen != cc.generation()) {
     SB_SYNC();
     return;  // a store / snooped write inside execute() killed this block
   }
@@ -918,7 +861,7 @@ boundary_attend:
     if (!attend_boundary()) {
       return;  // halted by the poll
     }
-    if (regs_[isa::pc] != e->pc || block->gen != sb.generation() ||
+    if (regs_[isa::pc] != e->pc || block->gen != cc.generation() ||
         privileged_ != block->privileged) {
       // Vectored to a handler, or the hook or hardware stacking killed
       // this block: this boundary is already serviced, so retire one
@@ -948,10 +891,10 @@ pc_changed:
   // A generic entry moved the pc (taken branch, fault vector, exception
   // return, ldm restart). The hot self-loop — a backward branch to this
   // block's own head — re-enters without leaving the dispatcher.
-  if (regs_[isa::pc] == block->start_pc && block->gen == sb.generation() &&
+  if (regs_[isa::pc] == block->start_pc && block->gen == cc.generation() &&
       block->privileged == privileged_ && !it_active() && !wfi_ &&
       halt_ == HaltReason::none) {
-    ++sb.stats().hits;
+    ++cc.stats().block_hits;
     e = ents;
     goto boundary;
   }

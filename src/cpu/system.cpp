@@ -95,11 +95,10 @@ System::System(const SystemBuilder& b)
     injector_->set_upset_hook([this] { core_->invalidate_decoded(); });
   }
   // Host-side pokes and image (re)loads through the bus invalidate cached
-  // decodes (decode cache and superblocks alike, via the core's fan-out
-  // snoop); the window check makes data-only writes cost two compares.
-  if (core_->code_write_snoop() != nullptr) {
-    bus_.set_write_snoop(core_->code_write_snoop());
-  }
+  // decodes and superblocks alike (the code cache is the snoop; there is
+  // none on the uncached tier); the window check makes data-only writes
+  // cost two compares.
+  bus_.set_write_snoop(core_->code_cache());
 }
 
 void System::set_cycle_hook(Core::CycleHook hook) {

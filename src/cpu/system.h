@@ -86,15 +86,9 @@ class SystemBuilder {
     return *this;
   }
   SystemBuilder& privileged(bool on) { core_.privileged = on; return *this; }
-  // Decoded-instruction cache size (0 disables — the differential-test
-  // reference). Host speed only; modeled cycles are identical either way.
-  SystemBuilder& decode_cache_lines(std::uint32_t lines) {
-    core_.decode_cache_lines = lines;
-    return *this;
-  }
   // Host-side dispatch speed tier (off / per_insn / superblock); modeled
-  // cycles are identical on every tier. Defaults to superblock; clamped to
-  // off when decode_cache_lines is 0.
+  // cycles are identical on every tier. Defaults to superblock; `off`
+  // decodes from scratch every step (the differential-test reference).
   SystemBuilder& dispatch_tier(DispatchTier tier) {
     core_.dispatch_tier = tier;
     return *this;

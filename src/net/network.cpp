@@ -213,9 +213,8 @@ Network::Network(const NetworkBuilder& b) : sim_(b.quantum_) {
   // zero-latency edges (no lookahead to exploit); and directions mixing
   // several latencies (the egress-side admission replay requires frames
   // of a direction to arrive in ingress order, which uniform latency
-  // guarantees). An explicit cap merges the tightest-coupled components
-  // first. All of it is a pure function of the builder description, so
-  // shard assignment — and therefore every simulation result — is
+  // guarantees). All of it is a pure function of the builder description,
+  // so shard assignment — and therefore every simulation result — is
   // deterministic.
   const std::size_t nbuses = b.buses_.size();
   UnionFind uf(nbuses);
@@ -246,44 +245,6 @@ Network::Network(const NetworkBuilder& b) : sim_(b.quantum_) {
       if (*lats.begin() <= 0 || lats.size() > 1) {
         uf.unite(static_cast<std::size_t>(edge.first),
                  static_cast<std::size_t>(edge.second));
-      }
-    }
-    if (b.shards_ >= 2) {
-      // Cap: repeatedly merge across the smallest-latency remaining edge
-      // (ties by bus ids) until within budget.
-      auto component_count = [&] {
-        std::set<std::size_t> roots;
-        for (std::size_t i = 0; i < nbuses; ++i) {
-          roots.insert(uf.find(i));
-        }
-        return roots.size();
-      };
-      while (component_count() > b.shards_) {
-        const std::pair<BusId, BusId>* best = nullptr;
-        sim::SimTime best_lat = sim::kNever;
-        for (const auto& [edge, lats] : edge_lat) {
-          if (uf.find(static_cast<std::size_t>(edge.first)) ==
-              uf.find(static_cast<std::size_t>(edge.second))) {
-            continue;
-          }
-          if (*lats.begin() < best_lat) {
-            best_lat = *lats.begin();
-            best = &edge;
-          }
-        }
-        if (best == nullptr) {
-          // Disconnected components only: merge the two smallest ids.
-          std::set<std::size_t> roots;
-          for (std::size_t i = 0; i < nbuses; ++i) {
-            roots.insert(uf.find(i));
-          }
-          auto it = roots.begin();
-          const std::size_t a = *it++;
-          uf.unite(a, *it);
-          continue;
-        }
-        uf.unite(static_cast<std::size_t>(best->first),
-                 static_cast<std::size_t>(best->second));
       }
     }
   }

@@ -39,6 +39,7 @@
 #include "net/node.h"
 #include "net/supervisor.h"
 #include "sim/sharded.h"
+#include "support/check.h"
 
 namespace aces::net {
 
@@ -65,9 +66,10 @@ class NetworkBuilder {
   // latencies, where the egress admission replay would lose the serial
   // order) are merged into one shard. 0 (default) = as many shards as the
   // topology allows; 1 = single shard, byte-for-byte the pre-sharding
-  // scheduler; k >= 2 caps the count by merging the tightest-coupled
-  // shards first.
+  // scheduler. No other value is accepted.
   NetworkBuilder& shards(unsigned n) {
+    ACES_CHECK_MSG(n <= 1, "NetworkBuilder::shards takes 0 (partition the "
+                           "topology) or 1 (single shard)");
     shards_ = n;
     return *this;
   }

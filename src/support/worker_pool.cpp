@@ -42,30 +42,14 @@ void WorkerPool::stop() {
   }
 }
 
-void WorkerPool::run(std::size_t n,
-                     const std::function<void(std::size_t)>& fn) {
-  std::exception_ptr error;
-  if (workers_.empty()) {
-    // Inline, in index order: the first exception is the lowest-index one.
-    // (No cursor: the scheduler calls this once per epoch.)
-    for (std::size_t i = 0; i < n; ++i) {
-      try {
-        fn(i);
-      } catch (...) {
-        if (!error) {
-          error = std::current_exception();
-        }
-      }
-    }
-  } else {
-    fn_ = &fn;
-    n_ = n;
-    cursor_.store(0, std::memory_order_relaxed);
-    start_.arrive_and_wait();
-    finish_.arrive_and_wait();
-    error = std::exchange(error_, nullptr);
-  }
-  if (error) {
+void WorkerPool::run_on_workers(std::size_t n,
+                                const std::function<void(std::size_t)>& fn) {
+  fn_ = &fn;
+  n_ = n;
+  cursor_.store(0, std::memory_order_relaxed);
+  start_.arrive_and_wait();
+  finish_.arrive_and_wait();
+  if (std::exception_ptr error = std::exchange(error_, nullptr)) {
     std::rethrow_exception(error);
   }
 }

@@ -9,7 +9,9 @@
 // exception of the lowest throwing index — the one a one-thread run would
 // meet first, of whatever type — is rethrown on the caller afterwards.
 // A one-thread pool starts no thread and runs fn(0), fn(1), ... in order
-// on the calling thread.
+// on the calling thread, calling fn directly: the callable is type-erased
+// only when it is handed to worker threads (the sharded scheduler runs a
+// batch every epoch, so the inline path is kept to a plain loop).
 #ifndef ACES_SUPPORT_WORKER_POOL_H
 #define ACES_SUPPORT_WORKER_POOL_H
 
@@ -37,9 +39,31 @@ class WorkerPool {
   [[nodiscard]] unsigned threads() const noexcept { return threads_; }
 
   // One batch at a time: not reentrant, not callable from inside fn.
-  void run(std::size_t n, const std::function<void(std::size_t)>& fn);
+  template <class Fn>
+  void run(std::size_t n, Fn&& fn) {
+    if (!workers_.empty()) {
+      run_on_workers(n, std::ref(fn));
+      return;
+    }
+    // Inline, in index order: the first exception is the lowest-index one.
+    std::exception_ptr error;
+    for (std::size_t i = 0; i < n; ++i) {
+      try {
+        fn(i);
+      } catch (...) {
+        if (!error) {
+          error = std::current_exception();
+        }
+      }
+    }
+    if (error) {
+      std::rethrow_exception(error);
+    }
+  }
 
  private:
+  void run_on_workers(std::size_t n,
+                      const std::function<void(std::size_t)>& fn);
   void work();
   void stop();  // ends and joins the workers
 

@@ -523,7 +523,7 @@ TEST(IvcTest, HookThatInvalidatesDecodesStillPollsItsBoundary) {
   // 1-cycle flash: the fetch regime superblocks may chain in.
   const SystemBuilder fast = mcu_config().flash_wait(1);
   const SystemBuilder uncached =
-      mcu_config().flash_wait(1).decode_cache_lines(0);
+      mcu_config().flash_wait(1).dispatch_tier(DispatchTier::off);
   for (std::uint64_t fire_at = 20; fire_at < 200; fire_at += 7) {
     EXPECT_EQ(run(fast, fire_at, DispatchTier::superblock),
               run(uncached, fire_at, DispatchTier::off))

@@ -71,12 +71,12 @@ TEST(DecodeCache, GuestStoreOverCachedInstructionIsExecutedFresh) {
   const std::uint16_t patched =
       encode_halfword(ins_mov_imm(r2, 9, SetFlags::yes));
   EXPECT_EQ(sys.call(image.base, {a.label_address(patchme), patched}), 14u);
-  ASSERT_NE(sys.core().decode_cache(), nullptr);
+  ASSERT_NE(sys.core().code_cache(), nullptr);
   // Invalidation is targeted: each pass's store kills the patched line
   // (one invalidation per store, plus the reset() flush), while the rest
   // of the loop body stays cached and re-hits on the second pass.
-  EXPECT_EQ(sys.core().decode_cache()->stats().invalidations, 3u);
-  EXPECT_GT(sys.core().decode_cache()->stats().hits, 0u);
+  EXPECT_EQ(sys.core().code_cache()->stats().decode_invalidations, 3u);
+  EXPECT_GT(sys.core().code_cache()->stats().decode_hits, 0u);
 }
 
 // ----- host poke through the bus write snoop --------------------------------
@@ -190,7 +190,7 @@ Image tcm_loop_image() {
   return a.assemble();
 }
 
-SystemBuilder tcm_system(bool fault_tolerant, std::uint32_t cache_lines) {
+SystemBuilder tcm_system(bool fault_tolerant, DispatchTier tier) {
   mem::TcmConfig tcm;
   tcm.size_bytes = 64;  // tiny: upsets land in code with high probability
   tcm.access_cycles = 1;
@@ -203,7 +203,7 @@ SystemBuilder tcm_system(bool fault_tolerant, std::uint32_t cache_lines) {
       .flash_size(4 * 1024)
       .tcm(tcm)
       .fault_injector(inj, 0xFEED)
-      .decode_cache_lines(cache_lines);
+      .dispatch_tier(tier);
 }
 
 // Steps `cached` and `reference` in lock-step, asserting identical retired
@@ -235,10 +235,10 @@ TEST(DecodeCache, InjectorFlipsInCodeKeepCachedAndUncachedIdentical) {
   // (fault tolerance on).
   const Image image = tcm_loop_image();
   for (const bool ft : {false, true}) {
-    System cached(tcm_system(ft, 2048));
-    System reference(tcm_system(ft, 0));
-    ASSERT_NE(cached.core().decode_cache(), nullptr);
-    ASSERT_EQ(reference.core().decode_cache(), nullptr);
+    System cached(tcm_system(ft, DispatchTier::superblock));
+    System reference(tcm_system(ft, DispatchTier::off));
+    ASSERT_NE(cached.core().code_cache(), nullptr);
+    ASSERT_EQ(reference.core().code_cache(), nullptr);
     cached.load(image);
     reference.load(image);
     expect_identical_traces(cached, reference, image.base, 5'000);
@@ -274,9 +274,9 @@ TEST(DecodeCache, DataStoresOutsideCodeWindowDoNotInvalidate) {
       DispatchTier::per_insn));
   sys.load(image);
   (void)sys.call(image.base);
-  const DecodeCache::Stats& s = sys.core().decode_cache()->stats();
-  EXPECT_GT(s.hits, 100u);
-  EXPECT_EQ(s.invalidations, 1u);  // the reset() safety net only
+  const CodeCache::Stats& s = sys.core().code_cache()->stats();
+  EXPECT_GT(s.decode_hits, 100u);
+  EXPECT_EQ(s.decode_invalidations, 1u);  // the reset() safety net only
 }
 
 TEST(DecodeCache, DataStoresOutsideCodeWindowKillNoSuperblock) {
@@ -290,6 +290,94 @@ TEST(DecodeCache, DataStoresOutsideCodeWindowKillNoSuperblock) {
   EXPECT_GT(js.block_instructions, 100u);
   EXPECT_EQ(js.blocks_killed, 0u);
   EXPECT_EQ(js.block_flushes, 1u);  // the reset() safety net only
+}
+
+// ----- a write longer than one instruction, shorter than a reload ----------
+
+TEST(DecodeCache, HostPatchOf128BytesOverCachedFlashLoopIsExecutedFresh) {
+  // An endless loop in (default, streamer-backed) flash whose inner body is
+  // 64 halfword `add r0` — 128 bytes, spread over several blocks and 64
+  // decode lines. Once the cached tier has run it warm, the host rewrites
+  // the whole body to `add r2` in one 128-byte load_image: long enough to
+  // span many lines and blocks, short enough to be range-killed rather than
+  // flushed. Both cached tiers must then execute the new bytes with the
+  // uncached reference's (pc, cycles) trace.
+  constexpr int kAdds = 64;
+  Assembler a(Encoding::b32, kFlashBase);
+  a.ins(ins_mov_imm(r0, 0, SetFlags::any));
+  const Label outer = a.bound_label();
+  a.ins(ins_mov_imm(r1, 4, SetFlags::any));
+  const Label inner = a.bound_label();
+  const Label body = a.bound_label();
+  for (int k = 0; k < kAdds; ++k) {
+    a.ins(ins_rri(Op::add, r0, r0, 1, SetFlags::any));
+  }
+  a.ins(ins_rri(Op::sub, r1, r1, 1, SetFlags::yes));
+  a.b(inner, Cond::ne);
+  a.b(outer);
+  const Image image = a.assemble();
+
+  std::vector<std::uint8_t> patch;
+  const std::uint16_t add_r2 =
+      encode_halfword(ins_rri(Op::add, r2, r2, 1, SetFlags::any));
+  for (int k = 0; k < kAdds; ++k) {
+    patch.push_back(static_cast<std::uint8_t>(add_r2));
+    patch.push_back(static_cast<std::uint8_t>(add_r2 >> 8));
+  }
+  ASSERT_EQ(patch.size(), 128u);
+
+  const auto lockstep = [](System& cached, System& reference, int steps) {
+    for (int k = 0; k < steps; ++k) {
+      ASSERT_TRUE(cached.core().step()) << "step " << k;
+      ASSERT_TRUE(reference.core().step()) << "step " << k;
+      ASSERT_EQ(cached.core().pc(), reference.core().pc()) << "step " << k;
+      ASSERT_EQ(cached.core().cycles(), reference.core().cycles())
+          << "step " << k;
+    }
+  };
+  const auto mcu = [](DispatchTier tier) {
+    return profiles::modern_mcu().flash_size(16 * 1024).dispatch_tier(tier);
+  };
+  for (const DispatchTier tier :
+       {DispatchTier::per_insn, DispatchTier::superblock}) {
+    SCOPED_TRACE(tier == DispatchTier::per_insn ? "per_insn" : "superblock");
+    System cached(mcu(tier));
+    System reference(mcu(DispatchTier::off));
+    ASSERT_EQ(cached.core().dispatch_tier(), tier);
+    for (System* sys : {&cached, &reference}) {
+      sys->load(image);
+      sys->core().reset(image.base, sys->initial_sp());
+    }
+    lockstep(cached, reference, 1500);
+    const Core::JitStats warm = cached.core().jit_stats();
+    if (tier == DispatchTier::superblock) {
+      ASSERT_GT(warm.block_instructions, 1000u);
+    } else {
+      ASSERT_GT(warm.decode_hits, 1000u);
+    }
+
+    for (System* sys : {&cached, &reference}) {
+      ASSERT_TRUE(sys->bus().load_image(a.label_address(body), patch.data(),
+                                        128));
+    }
+    const std::uint32_t r0_at_patch = cached.core().reg(r0);
+    lockstep(cached, reference, 1500);
+    EXPECT_GT(cached.core().reg(r2), 0u);  // the new bytes ran
+    EXPECT_EQ(cached.core().reg(r2), reference.core().reg(r2));
+    EXPECT_EQ(cached.core().reg(r0), reference.core().reg(r0));
+    EXPECT_EQ(cached.core().reg(r0), r0_at_patch);  // no stale add r0 ran
+
+    // Range-killed, not flushed: the body's lines (one count for the
+    // write) or blocks died, the reset() flush is still the only flush.
+    const Core::JitStats after = cached.core().jit_stats();
+    if (tier == DispatchTier::superblock) {
+      EXPECT_GT(after.blocks_killed, warm.blocks_killed);
+      EXPECT_EQ(after.block_flushes, 1u);
+      EXPECT_GT(after.block_instructions, warm.block_instructions + 1000u);
+    } else {
+      EXPECT_EQ(after.decode_invalidations, warm.decode_invalidations + 1);
+    }
+  }
 }
 
 }  // namespace

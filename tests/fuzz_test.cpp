@@ -305,15 +305,15 @@ TEST(KirFuzz, CachedAndUncachedRunsRetireIdenticalTraces) {
       for (const std::uint32_t flash_wait : {1u, 5u}) {
         const kir::LoweredProgram prog =
             kir::lower_program({&f}, enc, cpu::kFlashBase);
-        const auto builder = [&](std::uint32_t cache_lines) {
+        const auto builder = [&](cpu::DispatchTier tier) {
           return cpu::SystemBuilder()
               .encoding(enc)
               .flash_size(256 * 1024)
               .flash_wait(flash_wait)
-              .decode_cache_lines(cache_lines);
+              .dispatch_tier(tier);
         };
-        cpu::System cached(builder(1024));
-        cpu::System reference(builder(0));
+        cpu::System cached(builder(cpu::DispatchTier::superblock));
+        cpu::System reference(builder(cpu::DispatchTier::off));
         cached.load(prog.image);
         reference.load(prog.image);
         const std::uint32_t entry = prog.entry_of(f.name());
@@ -386,8 +386,7 @@ TEST(KirFuzz, AllDispatchTiersRetireIdenticalTraces) {
           kir::lower_program({&f}, enc, cpu::kFlashBase);
       for (std::size_t ri = 0; ri < regimes.size(); ++ri) {
         const Regime& rg = regimes[ri];
-        const auto builder = [&](std::uint32_t cache_lines,
-                                 cpu::DispatchTier tier) {
+        const auto builder = [&](cpu::DispatchTier tier) {
           return cpu::SystemBuilder()
               .encoding(enc)
               .timings(rg.legacy_timings ? cpu::CoreTimings::legacy_hp()
@@ -395,7 +394,6 @@ TEST(KirFuzz, AllDispatchTiersRetireIdenticalTraces) {
               .flash_size(256 * 1024)
               .flash_wait(rg.flash_wait)
               .flash_dual_buffer(rg.dual_buffer)
-              .decode_cache_lines(cache_lines)
               .dispatch_tier(tier);
         };
         std::ostringstream where_os;
@@ -403,9 +401,9 @@ TEST(KirFuzz, AllDispatchTiersRetireIdenticalTraces) {
                  << rg.flash_wait << (rg.dual_buffer ? " dual" : "")
                  << (rg.legacy_timings ? " legacy" : "");
         const std::string where = where_os.str();
-        cpu::System reference(builder(0, cpu::DispatchTier::off));
-        cpu::System per_insn(builder(1024, cpu::DispatchTier::per_insn));
-        cpu::System sblock(builder(1024, cpu::DispatchTier::superblock));
+        cpu::System reference(builder(cpu::DispatchTier::off));
+        cpu::System per_insn(builder(cpu::DispatchTier::per_insn));
+        cpu::System sblock(builder(cpu::DispatchTier::superblock));
         cpu::System* const systems[] = {&reference, &per_insn, &sblock};
         const std::uint32_t entry = prog.entry_of(f.name());
         for (cpu::System* sys : systems) {
@@ -448,7 +446,7 @@ TEST(KirFuzz, AllDispatchTiersRetireIdenticalTraces) {
           ASSERT_EQ(sys->core().reg(isa::r0), reference.core().reg(isa::r0));
           if (rg.flash_wait == 1) {
             // State-free regime: fixed-cost hits skip the streamer's
-            // bookkeeping counters by design (see decode_cache.h).
+            // bookkeeping counters by design (see code_cache.h).
             continue;
           }
           const mem::Flash::Stats& got = sys->flash().stats();

@@ -252,12 +252,10 @@ TEST(Cache, DeclinesFetchStreamer) {
   Cache icache(CacheConfig{}, bus);
   DirectPort direct(bus);
   FetchStreamer s;
-  EXPECT_TRUE(direct.fetch_streamer(0x10, &s));
+  ASSERT_EQ(direct.transparent_bus(), &bus);
+  EXPECT_TRUE(direct.transparent_bus()->fetch_streamer(0x10, &s));
   EXPECT_EQ(s.flash, &slow);
-  EXPECT_FALSE(icache.fetch_streamer(0x10, &s));
-  EXPECT_EQ(s.flash, nullptr);
-  EXPECT_TRUE(direct.transparent());
-  EXPECT_FALSE(icache.transparent());
+  EXPECT_EQ(icache.transparent_bus(), nullptr);
 }
 
 TEST(Bus, LoadImageProgramsDevices) {

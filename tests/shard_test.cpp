@@ -280,23 +280,11 @@ TEST(NetworkSharding, MixedPerRouteLatenciesMergeTheDirection) {
   EXPECT_EQ(net.shard_count(), 1u);
 }
 
-TEST(NetworkSharding, ShardCapMergesTightestCoupledFirst) {
+TEST(NetworkSharding, ShardsAcceptsOnlyPartitionOrSingle) {
   NetworkBuilder nb;
-  const BusId a = nb.bus("a", 500'000);
-  const BusId b = nb.bus("b", 500'000);
-  const BusId c = nb.bus("c", 500'000);
-  const GatewayId g1 = nb.gateway("g1", gw_cfg(50 * kMicrosecond));
-  const GatewayId g2 = nb.gateway("g2", gw_cfg(500 * kMicrosecond));
-  nb.route(g1, {a, b, 0x100, 0x7FF, {}});  // tight coupling a -- b
-  nb.route(g2, {b, c, 0x200, 0x7FF, {}});  // loose coupling b -- c
-  nb.shards(2);
-  net::Network net = nb.build();
-  // The cap merges the 50us edge away; the 500us edge survives and its
-  // latency becomes the (larger) lookahead.
-  EXPECT_EQ(net.shard_count(), 2u);
-  EXPECT_EQ(&net.shard(a), &net.shard(b));
-  EXPECT_NE(&net.shard(b), &net.shard(c));
-  EXPECT_EQ(net.lookahead(), 500 * kMicrosecond);
+  EXPECT_NO_THROW(nb.shards(0));
+  EXPECT_NO_THROW(nb.shards(1));
+  EXPECT_THROW(nb.shards(2), std::logic_error);
 }
 
 // ----- net-level determinism: sharded == single-shard ------------------------

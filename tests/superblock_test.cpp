@@ -72,9 +72,9 @@ TEST(Superblock, FormationChainsStraightLineAndStopsAtTerminator) {
   EXPECT_EQ(sys.core().dispatch_tier(), DispatchTier::superblock);
   EXPECT_EQ(sys.call(image.base), 2u);
 
-  SuperblockCache* sb = sys.core().superblock_cache();
+  CodeCache* sb = sys.core().code_cache();
   ASSERT_NE(sb, nullptr);
-  SuperblockCache::Block* b = sb->lookup(image.base, /*privileged=*/true);
+  CodeCache::Block* b = sb->block(image.base, /*privileged=*/true);
   ASSERT_NE(b, nullptr);
   EXPECT_EQ(b->entries.size(), 5u);
   EXPECT_EQ(b->start_pc, image.base);
@@ -104,14 +104,14 @@ TEST(Superblock, BackwardBranchTerminatesBlockAndLoopsInDispatch) {
   sys.load(image);
   EXPECT_EQ(sys.call(image.base), 1000u);
 
-  SuperblockCache::Block* b =
-      sys.core().superblock_cache()->lookup(a.label_address(top), true);
+  CodeCache::Block* b =
+      sys.core().code_cache()->block(a.label_address(top), true);
   ASSERT_NE(b, nullptr);
   ASSERT_EQ(b->entries.size(), 3u);
   EXPECT_EQ(b->entries.back().klass, ExecClass::branch);
   // The taken back-branch re-enters the same block without leaving the
   // dispatcher, so block hits dwarf the 1000 iterations' worth of misses.
-  EXPECT_GT(sys.core().superblock_cache()->stats().hits, 900u);
+  EXPECT_GT(sys.core().code_cache()->stats().block_hits, 900u);
   const Core::JitStats js = sys.core().jit_stats();
   EXPECT_GT(js.block_instructions, 2900u);
   EXPECT_GT(js.avg_block_length, 2.0);
@@ -132,8 +132,8 @@ TEST(Superblock, ItBodyIsSpecializedWithBakedConditions) {
   EXPECT_EQ(sys.call(image.base, {0}), 1u);
   EXPECT_EQ(sys.call(image.base, {7}), 2u);
 
-  SuperblockCache::Block* b =
-      sys.core().superblock_cache()->lookup(image.base, true);
+  CodeCache::Block* b =
+      sys.core().code_cache()->block(image.base, true);
   ASSERT_NE(b, nullptr);
   ASSERT_EQ(b->entries.size(), 6u);
   EXPECT_EQ(b->entries[1].klass, ExecClass::it_);
@@ -167,11 +167,11 @@ TEST(Superblock, UnspecializableItBodyCutsBlockBeforeIt) {
   EXPECT_EQ(sys.call(image.base, {0, 9}), 42u);  // eq: load runs
   EXPECT_EQ(sys.call(image.base, {5, 9}), 9u);   // ne: annulled
 
-  SuperblockCache::Block* b =
-      sys.core().superblock_cache()->lookup(image.base, true);
+  CodeCache::Block* b =
+      sys.core().code_cache()->block(image.base, true);
   ASSERT_NE(b, nullptr);
   EXPECT_EQ(b->end_pc, a.label_address(it_at));
-  for (const SuperblockCache::Entry& e : b->entries) {
+  for (const CodeCache::Entry& e : b->entries) {
     EXPECT_NE(e.d.insn.op, Op::it);
   }
 }
@@ -350,7 +350,7 @@ TEST(Superblock, IrqMidBlockDeliversAtSameInstantAsReferenceTier) {
     bool streamer;
   };
   const Regime regimes[] = {
-      {mcu(), mcu().decode_cache_lines(0), false},
+      {mcu(), mcu().dispatch_tier(DispatchTier::off), false},
       {streamer_mcu(), streamer_mcu().dispatch_tier(DispatchTier::per_insn),
        true},
   };
@@ -412,7 +412,7 @@ TEST(Superblock, LongRunMatchesReferenceTierExactly) {
   const Image image = a.assemble();
 
   System sblock(mcu());
-  System reference(mcu().decode_cache_lines(0));
+  System reference(mcu().dispatch_tier(DispatchTier::off));
   std::uint64_t cycles[2] = {0, 0};
   std::uint64_t insns[2] = {0, 0};
   std::uint32_t r0v[2] = {0, 0};
@@ -508,8 +508,8 @@ TEST(Superblock, StreamerLiteralLoadInsideBlockDisruptsLikePerInsn) {
   expect_same_flash_stats(sblock, per_insn);
   EXPECT_GE(sblock.flash().stats().data_disruptions, 100u);
 
-  SuperblockCache::Block* b =
-      sblock.core().superblock_cache()->lookup(a.label_address(top), true);
+  CodeCache::Block* b =
+      sblock.core().code_cache()->block(a.label_address(top), true);
   ASSERT_NE(b, nullptr);
   ASSERT_EQ(b->entries.size(), 5u);
   EXPECT_EQ(b->entries[1].d.insn.op, Op::ldr);
@@ -547,8 +547,8 @@ TEST(Superblock, StreamerTwoReadFetchStraddlingALine) {
   EXPECT_EQ(sblock.core().cycles(), per_insn.core().cycles());
   expect_same_flash_stats(sblock, per_insn);
 
-  SuperblockCache::Block* b =
-      sblock.core().superblock_cache()->lookup(a.label_address(top), true);
+  CodeCache::Block* b =
+      sblock.core().code_cache()->block(a.label_address(top), true);
   ASSERT_NE(b, nullptr);
   ASSERT_EQ(b->entries.size(), 4u);
   EXPECT_EQ(b->entries[1].pc, a.label_address(wide));
@@ -633,8 +633,8 @@ TEST(Superblock, StreamerFpbPatchOverBlockServesFromPatchRam) {
   expect_same_flash_stats(sblock, per_insn);
   EXPECT_GE(sblock.core().jit_stats().block_flushes, 2u);
 
-  SuperblockCache::Block* b =
-      sblock.core().superblock_cache()->lookup(a.label_address(top), true);
+  CodeCache::Block* b =
+      sblock.core().code_cache()->block(a.label_address(top), true);
   ASSERT_NE(b, nullptr);
   ASSERT_EQ(b->entries.size(), 4u);
   EXPECT_TRUE(b->entries[0].streamed());
