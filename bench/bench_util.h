@@ -17,6 +17,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "campaign/runner.h"
 #include "cpu/profiles.h"
 #include "cpu/system.h"
@@ -208,11 +210,19 @@ inline void start_broadcast(net::Network& net, net::BusId bus) {
 }
 
 // Opens a bench artifact: one object, a member per line, led by the bench
-// name and the host's hardware thread count.
+// name, the host's hardware thread count, the CMake build type the bench
+// was compiled in and the host name — a number is only comparable with
+// one from the same build on the same machine.
 inline void begin_artifact(support::JsonWriter& w, const char* bench) {
+  char host[256] = {};
+  if (gethostname(host, sizeof host - 1) != 0 || host[0] == '\0') {
+    std::snprintf(host, sizeof host, "unknown");
+  }
   w.begin_object(2);
   w.field("bench", bench);
   w.field("hw_threads", support::resolve_threads(0));
+  w.field("build_type", ACES_BUILD_TYPE);
+  w.field("host", host);
 }
 
 // A campaign variant's value on sweep axis `name` (0 when not swept).

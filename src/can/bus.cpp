@@ -201,17 +201,12 @@ void CanBus::emit(NodeId node, ErrorEvent::Kind kind) {
 }
 
 void CanBus::send(NodeId node, const CanFrame& frame) {
-  if (frame.fd) {
-    ACES_CHECK_MSG(fd_enabled(),
-                   "FD frame on a classic-only bus (construct the CanBus "
-                   "with a data bit rate to enable CAN FD)");
-    ACES_CHECK_MSG(!frame.rtr, "CAN FD has no remote frames");
-    ACES_CHECK_MSG(frame.dlc <= 15, "FD DLC code is 0..15");
-  } else {
-    // Reject DLC codes early: a 9..15 code fed through the classic wire
-    // formulas would silently under-price the frame.
-    ACES_CHECK_MSG(frame.dlc <= 8, "classic dlc is 0..8");
-  }
+  ACES_CHECK_MSG(!frame.fd || fd_enabled(),
+                 "FD frame on a classic-only bus (construct the CanBus "
+                 "with a data bit rate to enable CAN FD)");
+  // Reject malformed frames here, while the caller can still see the
+  // throw: once queued, a frame is only priced at its arbitration.
+  check_frame(frame);
   if (nodes_[static_cast<std::size_t>(node)].detached) {
     // A dead transceiver drives nothing onto the wire; the write is lost
     // (and observable), not deferred.
@@ -307,25 +302,11 @@ void CanBus::try_start() {
     });
   } else {
     // The error is detected at the corrupted bit; the wire carries the
-    // error frame instead of the rest of this attempt, and the frame goes
-    // back into the queue (original timestamp, ahead of any equal-key
-    // sibling it was queued before) for automatic retransmission. Error
-    // signaling is always at the nominal rate (an FD transmitter drops
-    // back to the arbitration bit rate when it detects an error).
-    const bool passive = state_of(node) == ErrorState::error_passive;
-    const unsigned signal_bits = kErrorFlagBits + kErrorDelimiterBits +
-                                 kIntermissionBits +
-                                 (passive ? kSuspendTransmissionBits : 0);
+    // error frame instead of the rest of this attempt.
+    const std::uint32_t id = pending.frame.id;
     const SimTime duration =
         timing.prefix(static_cast<unsigned>(corrupt) + 1) +
-        bit_time_ * signal_bits;
-    const std::uint32_t id = pending.frame.id;
-    const std::uint32_t key = arbitration_key(pending.frame);
-    auto it = node.queue.begin();
-    while (it != node.queue.end() && arbitration_key(it->frame) < key) {
-      ++it;
-    }
-    node.queue.insert(it, std::move(pending));
+        signal_error(node, std::move(pending));
     queue_.schedule_in(duration, [this, winner, id, duration] {
       finish_error(winner, id, duration);
     });
@@ -338,20 +319,9 @@ void CanBus::finish_clean(NodeId winner, const Pending& pending,
   if (ack_errors_ && !has_ack_peer(winner)) {
     // Nobody drove the ACK slot dominant: the transmitter signals an
     // error at the end of the data portion and the wire carries the
-    // error frame (always at the nominal rate). The frame re-queues with
-    // its original timestamp for automatic retransmission.
-    const bool passive = state_of(tx) == ErrorState::error_passive;
-    const unsigned signal_bits = kErrorFlagBits + kErrorDelimiterBits +
-                                 kIntermissionBits +
-                                 (passive ? kSuspendTransmissionBits : 0);
-    const SimTime extra = bit_time_ * signal_bits;
+    // error frame.
     const std::uint32_t id = pending.frame.id;
-    const std::uint32_t key = arbitration_key(pending.frame);
-    auto it = tx.queue.begin();
-    while (it != tx.queue.end() && arbitration_key(it->frame) < key) {
-      ++it;
-    }
-    tx.queue.insert(it, pending);
+    const SimTime extra = signal_error(tx, pending);
     // busy_ stays set through the error signaling.
     queue_.schedule_in(extra, [this, winner, id, total = duration + extra] {
       finish_ack_error(winner, id, total);
@@ -399,6 +369,22 @@ void CanBus::finish_clean(NodeId winner, const Pending& pending,
   if (!busy_) {
     try_start();
   }
+}
+
+SimTime CanBus::signal_error(Node& tx, Pending pending) {
+  // Error signaling is always at the nominal rate (an FD transmitter drops
+  // back to the arbitration bit rate when it detects an error).
+  const bool passive = state_of(tx) == ErrorState::error_passive;
+  const unsigned signal_bits = kErrorFlagBits + kErrorDelimiterBits +
+                               kIntermissionBits +
+                               (passive ? kSuspendTransmissionBits : 0);
+  const std::uint32_t key = arbitration_key(pending.frame);
+  auto it = tx.queue.begin();
+  while (it != tx.queue.end() && arbitration_key(it->frame) < key) {
+    ++it;
+  }
+  tx.queue.insert(it, std::move(pending));
+  return bit_time_ * signal_bits;
 }
 
 void CanBus::move_counter(NodeId node, unsigned& counter, unsigned next) {

@@ -131,7 +131,8 @@ class CanBus {
   // Queues a frame for transmission from `node`. Queues are priority-
   // ordered by identifier (priority-queued mailboxes), matching the
   // assumption of the classic CAN response-time analysis. A bus-off node
-  // keeps queueing; pending frames go out after recovery.
+  // keeps queueing; pending frames go out after recovery. Throws on a
+  // frame check_frame rejects and on an FD frame on a classic-only bus.
   void send(NodeId node, const CanFrame& frame);
 
   // ----- node lifecycle (fault injection) ---------------------------------
@@ -300,6 +301,12 @@ class CanBus {
   }
   void finish_clean(NodeId winner, const Pending& pending,
                     sim::SimTime duration);
+  // A failed attempt of `pending` by `tx`: re-queues the frame (original
+  // timestamp, ahead of any equal-key sibling it was queued before) for
+  // automatic retransmission and returns the wire time of the error frame
+  // that follows — flag + delimiter + intermission, plus suspend when
+  // `tx` is error-passive.
+  [[nodiscard]] sim::SimTime signal_error(Node& tx, Pending pending);
   void finish_error(NodeId winner, std::uint32_t id, sim::SimTime duration);
   void finish_ack_error(NodeId winner, std::uint32_t id,
                         sim::SimTime duration);

@@ -4,160 +4,115 @@
 
 namespace aces::can {
 
-std::uint16_t crc15(const std::vector<bool>& bits) {
-  std::uint16_t crc = 0;
-  for (const bool bit : bits) {
-    const bool msb = ((crc >> 14) & 1u) != 0;
-    crc = static_cast<std::uint16_t>((crc << 1) & 0x7FFF);
-    if (msb != bit) {
-      crc ^= 0x4599;
+namespace {
+
+// The one bit stuffer. Raw bits go in in wire order; each one extends or
+// restarts the current run of equal bits, inserts a stuff bit of opposite
+// polarity when the run reaches 5 (the stuff bit starts a new run the next
+// raw bit may extend), and advances CRC-15 (poly 0x4599, initial 0). The
+// updates are branch-free: a frame's cost depends only on its length.
+class Stuffer {
+ public:
+  // The low `n` bits of `v`, most significant first.
+  void bits(std::uint32_t v, unsigned n) {
+    while (n > 0) {
+      --n;
+      bit(static_cast<unsigned>(v >> n) & 1u);
     }
   }
-  return crc;
+
+  [[nodiscard]] unsigned raw() const { return raw_; }
+  [[nodiscard]] unsigned stuffs() const { return stuffs_; }
+  [[nodiscard]] std::uint16_t crc() const { return crc_; }
+
+ private:
+  void bit(unsigned b) {
+    ++raw_;
+    run_ = run_ * static_cast<unsigned>(b == last_) + 1;
+    const unsigned stuff = static_cast<unsigned>(run_ == 5);
+    stuffs_ += stuff;
+    last_ = b ^ stuff;
+    run_ -= 4 * stuff;
+    const unsigned feedback = ((crc_ >> 14) & 1u) ^ b;
+    crc_ = static_cast<std::uint16_t>(((crc_ << 1) & 0x7FFFu) ^
+                                      (0x4599u & (0u - feedback)));
+  }
+
+  unsigned raw_ = 0;
+  unsigned stuffs_ = 0;
+  unsigned run_ = 0;
+  unsigned last_ = 2;  // matches no bit: the first bit starts a run of 1
+  std::uint16_t crc_ = 0;
+};
+
+// SOF, the identifier fields and the RTR (classic) or RRS (FD) bit, plus
+// the dominant IDE of the standard format: the prefix both frame formats
+// share. An extended frame's IDE goes out before its identifier extension.
+void write_identifier(Stuffer& s, const CanFrame& f, bool rtr) {
+  s.bits(0, 1);  // SOF (dominant)
+  if (!f.extended) {
+    s.bits(f.id, 11);
+    s.bits(rtr ? 1u : 0u, 1);
+    s.bits(0, 1);  // IDE (standard)
+  } else {
+    s.bits(f.id >> 18, 11);       // base identifier
+    s.bits(0b11, 2);              // SRR, IDE (both recessive)
+    s.bits(f.id & 0x3FFFFu, 18);  // identifier extension
+    s.bits(rtr ? 1u : 0u, 1);
+  }
 }
 
-std::vector<bool> stuffable_bits(const CanFrame& frame) {
-  ACES_CHECK_MSG(!frame.fd,
-                 "stuffable_bits serializes classic frames only; FD frames "
-                 "go through fd_exact_wire_bits");
-  ACES_CHECK_MSG(frame.id < (1u << (frame.extended ? 29 : 11)),
+// The data bytes of the frame, most significant bit first.
+void write_data(Stuffer& s, const CanFrame& f, unsigned bytes) {
+  for (unsigned b = 0; b < bytes; ++b) {
+    s.bits(f.data[b], 8);
+  }
+}
+
+}  // namespace
+
+void check_frame(const CanFrame& f) {
+  ACES_CHECK_MSG(f.id < (1u << (f.extended ? 29 : 11)),
                  "identifier out of range for the frame format");
-  ACES_CHECK_MSG(frame.dlc <= 8, "dlc is 0..8");
-  std::vector<bool> bits;
-  bits.push_back(false);  // SOF (dominant)
-  if (!frame.extended) {
-    for (int k = 10; k >= 0; --k) {
-      bits.push_back(((frame.id >> k) & 1u) != 0);
-    }
-    bits.push_back(frame.rtr);  // RTR
-    bits.push_back(false);      // IDE (standard)
-    bits.push_back(false);      // r0
+  if (f.fd) {
+    ACES_CHECK_MSG(!f.rtr, "CAN FD has no remote frames");
+    ACES_CHECK_MSG(f.dlc <= 15, "FD DLC code is 0..15");
   } else {
-    for (int k = 28; k >= 18; --k) {  // 11-bit base identifier
-      bits.push_back(((frame.id >> k) & 1u) != 0);
-    }
-    bits.push_back(true);  // SRR (recessive)
-    bits.push_back(true);  // IDE (extended)
-    for (int k = 17; k >= 0; --k) {  // 18-bit identifier extension
-      bits.push_back(((frame.id >> k) & 1u) != 0);
-    }
-    bits.push_back(frame.rtr);  // RTR
-    bits.push_back(false);      // r1
-    bits.push_back(false);      // r0
+    // A 9..15 code fed through the classic wire formulas would silently
+    // under-price the frame.
+    ACES_CHECK_MSG(f.dlc <= 8, "classic dlc is 0..8");
   }
-  for (int k = 3; k >= 0; --k) {
-    bits.push_back(((frame.dlc >> k) & 1u) != 0);
-  }
-  if (!frame.rtr) {  // remote frames carry no data field
-    for (unsigned b = 0; b < frame.dlc; ++b) {
-      for (int k = 7; k >= 0; --k) {
-        bits.push_back(((frame.data[b] >> k) & 1u) != 0);
-      }
-    }
-  }
-  const std::uint16_t crc = crc15(bits);
-  for (int k = 14; k >= 0; --k) {
-    bits.push_back(((crc >> k) & 1u) != 0);
-  }
-  return bits;
 }
 
 unsigned exact_wire_bits(const CanFrame& frame) {
-  const std::vector<bool> bits = stuffable_bits(frame);
-  unsigned stuffed = 0;
-  unsigned run = 0;
-  bool last = false;
-  bool have_last = false;
-  for (std::size_t k = 0; k < bits.size(); ++k) {
-    bool b = bits[k];
-    if (have_last && b == last) {
-      ++run;
-    } else {
-      run = 1;
-      last = b;
-      have_last = true;
-    }
-    if (run == 5) {
-      // A stuff bit of opposite polarity is inserted; it starts a new run
-      // that the following data bit may extend.
-      ++stuffed;
-      last = !b;
-      run = 1;
-    }
-  }
-  return static_cast<unsigned>(bits.size()) + stuffed + 13;
+  ACES_CHECK_MSG(!frame.fd,
+                 "exact_wire_bits serializes classic frames only; FD frames "
+                 "go through fd_exact_wire_bits");
+  check_frame(frame);
+  Stuffer s;
+  write_identifier(s, frame, frame.rtr);
+  s.bits(0, frame.extended ? 2 : 1);  // r1 (extended only), r0
+  s.bits(frame.dlc, 4);
+  write_data(s, frame, payload_bytes(frame));
+  s.bits(s.crc(), 15);
+  return s.raw() + s.stuffs() + 13;
 }
 
 FdWireBits fd_exact_wire_bits(const CanFrame& frame) {
   ACES_CHECK_MSG(frame.fd, "fd_exact_wire_bits needs an FD frame");
-  ACES_CHECK_MSG(!frame.rtr, "CAN FD has no remote frames");
-  ACES_CHECK_MSG(frame.id < (1u << (frame.extended ? 29 : 11)),
-                 "identifier out of range for the frame format");
-  const unsigned n = fd_payload_bytes(frame.dlc);  // checks dlc <= 15
-
-  // Dynamically stuffed span: head (nominal rate, SOF..BRS) followed by
-  // ESI + DLC + data (data rate when BRS is set). The rate switches at the
-  // BRS bit, so a stuff bit inserted right after BRS already belongs to
-  // the data phase.
-  std::vector<bool> bits;
-  bits.push_back(false);  // SOF (dominant)
-  if (!frame.extended) {
-    for (int k = 10; k >= 0; --k) {
-      bits.push_back(((frame.id >> k) & 1u) != 0);
-    }
-    bits.push_back(false);  // RRS (dominant where classic RTR sits)
-    bits.push_back(false);  // IDE (standard)
-  } else {
-    for (int k = 28; k >= 18; --k) {  // 11-bit base identifier
-      bits.push_back(((frame.id >> k) & 1u) != 0);
-    }
-    bits.push_back(true);  // SRR (recessive)
-    bits.push_back(true);  // IDE (extended)
-    for (int k = 17; k >= 0; --k) {  // 18-bit identifier extension
-      bits.push_back(((frame.id >> k) & 1u) != 0);
-    }
-    bits.push_back(false);  // RRS
-  }
-  bits.push_back(true);       // FDF/EDL (recessive marks the FD format)
-  bits.push_back(false);      // res
-  bits.push_back(frame.brs);  // BRS — last nominal-rate bit
-  const std::size_t head_len = bits.size();
-  bits.push_back(false);  // ESI (error active)
-  for (int k = 3; k >= 0; --k) {
-    bits.push_back(((frame.dlc >> k) & 1u) != 0);
-  }
-  for (unsigned b = 0; b < n; ++b) {
-    for (int k = 7; k >= 0; --k) {
-      bits.push_back(((frame.data[b] >> k) & 1u) != 0);
-    }
-  }
-
-  unsigned head_stuffs = 0;
-  unsigned data_stuffs = 0;
-  unsigned run = 0;
-  bool last = false;
-  bool have_last = false;
-  for (std::size_t k = 0; k < bits.size(); ++k) {
-    bool b = bits[k];
-    if (have_last && b == last) {
-      ++run;
-    } else {
-      run = 1;
-      last = b;
-      have_last = true;
-    }
-    if (run == 5) {
-      // The stuff bit goes out between raw bits k and k+1: still nominal
-      // only while it precedes the BRS sample point.
-      if (k + 1 < head_len) {
-        ++head_stuffs;
-      } else {
-        ++data_stuffs;
-      }
-      last = !b;
-      run = 1;
-    }
-  }
+  check_frame(frame);
+  Stuffer s;
+  write_identifier(s, frame, false);  // RRS (dominant where RTR sits)
+  s.bits(0b10, 2);                    // FDF (recessive), res
+  // The rate switches at the BRS bit, so a stuff bit it triggers already
+  // belongs to the data phase.
+  const unsigned head_stuffs = s.stuffs();
+  s.bits(frame.brs ? 1u : 0u, 1);  // BRS: last nominal-rate bit
+  const unsigned head = s.raw();
+  s.bits(0, 1);  // ESI (error active)
+  s.bits(frame.dlc, 4);
+  const unsigned n = fd_payload_bytes(frame.dlc);
+  write_data(s, frame, n);
 
   // CRC field: 4-bit stuff count + CRC-17 (n <= 16) or CRC-21, with a
   // fixed stuff bit before the first bit and after every 4th — its length
@@ -165,9 +120,8 @@ FdWireBits fd_exact_wire_bits(const CanFrame& frame) {
   const unsigned crc_field = n <= 16 ? 27u : 32u;
 
   FdWireBits w;
-  w.nominal_bits = static_cast<unsigned>(head_len) + head_stuffs + 13;
-  w.data_bits = static_cast<unsigned>(bits.size() - head_len) + data_stuffs +
-                crc_field;
+  w.nominal_bits = head + head_stuffs + 13;
+  w.data_bits = s.raw() - head + s.stuffs() - head_stuffs + crc_field;
   return w;
 }
 

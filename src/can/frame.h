@@ -9,6 +9,13 @@
 // by the response-time analysis (sched/can_rta.h) upper-bounds this exact
 // length; tests assert that property over randomized frames.
 //
+// One streaming stuffer (frame.cpp) serializes both formats without
+// building the bit sequence: it takes the raw bits in wire order and, per
+// bit, updates the current run, the stuff-bit count and the CRC-15, so the
+// CRC value is ready when the CRC field is due and goes through the same
+// stuffer. Classic and FD frames share its writer for SOF plus the
+// identifier fields.
+//
 // CAN FD frames split into two phases priced at different bit rates when
 // BRS (bit-rate switch) is set:
 //
@@ -16,21 +23,21 @@
 //                   dynamically stuffed, plus the never-stuffed 13-bit tail
 //                   (CRC delimiter, ACK slot+delimiter, EOF, IFS);
 //   data phase      ESI + DLC + data bytes, dynamically stuffed
-//                   (continuing the run that ends at BRS), followed by the
-//                   FIXED-stuffed CRC field: a stuff bit before the 4-bit
-//                   stuff count and after every 4th CRC bit, CRC-17 for
-//                   payloads <= 16 bytes (field = 4+17+6 = 27 bits) and
-//                   CRC-21 above (4+21+7 = 32 bits).
+//                   (continuing the run that ends at BRS; a stuff bit the
+//                   BRS bit triggers is already sent at the data rate),
+//                   followed by the FIXED-stuffed CRC field: a stuff bit
+//                   before the 4-bit stuff count and after every 4th CRC
+//                   bit, CRC-17 for payloads <= 16 bytes (field = 4+17+6 =
+//                   27 bits) and CRC-21 above (4+21+7 = 32 bits).
 //
 // Because the FD CRC field is fixed-stuffed its length is constant per
 // payload size, so the exact FD wire length needs no CRC value — only the
-// dynamic stuffing walk over the head and data bits.
+// dynamic stuffing over the head and data bits.
 #ifndef ACES_CAN_FRAME_H
 #define ACES_CAN_FRAME_H
 
 #include <array>
 #include <cstdint>
-#include <vector>
 
 #include "support/check.h"
 
@@ -59,12 +66,11 @@ struct CanFrame {
   std::int64_t timestamp = -1;
 };
 
-// CRC-15 over the given bit sequence (poly 0x4599, initial 0).
-[[nodiscard]] std::uint16_t crc15(const std::vector<bool>& bits);
-
-// Serializes header+data+crc (the stuffable region), unstuffed. Classic
-// frames only (rejects FD).
-[[nodiscard]] std::vector<bool> stuffable_bits(const CanFrame& frame);
+// Throws unless `f` is well formed for its format: identifier within 11
+// (standard) or 29 (extended) bits, classic DLC 0..8, FD DLC code 0..15
+// and no FD remote frame. CanBus::send and both wire-length functions
+// apply it.
+void check_frame(const CanFrame& f);
 
 // Exact on-wire bit count: stuffed stuffable region + fixed 13-bit tail
 // (CRC delimiter, ACK slot+delimiter, 7-bit EOF, 3-bit interframe space).

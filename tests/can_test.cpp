@@ -1,5 +1,16 @@
 // CAN frame serialization and bus arbitration tests.
+//
+// The wire-length functions are checked against a test-local reference
+// serializer: the frame built as an explicit bit sequence, its CRC-15
+// computed over that sequence, then stuffed in a separate walk — the
+// literal reading of the CAN 2.0 / CAN FD bit layout, independent of the
+// library's streaming stuffer.
 #include <gtest/gtest.h>
+
+#include <cstdint>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "can/bus.h"
 #include "can/frame.h"
@@ -18,20 +29,247 @@ CanFrame frame(std::uint32_t id, unsigned dlc, std::uint8_t fill = 0) {
   return f;
 }
 
+// ----- reference serializer --------------------------------------------------
+
+// Appends the low `n` bits of `v`, most significant first.
+void push_bits(std::vector<bool>& bits, std::uint32_t v, int n) {
+  for (int k = n - 1; k >= 0; --k) {
+    bits.push_back(((v >> k) & 1u) != 0);
+  }
+}
+
+// CRC-15 over the given bit sequence (poly 0x4599, initial 0).
+std::uint16_t ref_crc15(const std::vector<bool>& bits) {
+  std::uint16_t crc = 0;
+  for (const bool bit : bits) {
+    const bool msb = ((crc >> 14) & 1u) != 0;
+    crc = static_cast<std::uint16_t>((crc << 1) & 0x7FFF);
+    if (msb != bit) {
+      crc ^= 0x4599;
+    }
+  }
+  return crc;
+}
+
+// SOF through the end of the arbitration field: the standard format's
+// 11-bit identifier, or the extended format's base identifier, SRR, IDE
+// and 18-bit extension; then the RTR (classic) or RRS (FD) bit.
+void push_arbitration(std::vector<bool>& bits, const CanFrame& f, bool rtr) {
+  bits.push_back(false);  // SOF (dominant)
+  if (!f.extended) {
+    push_bits(bits, f.id, 11);
+  } else {
+    push_bits(bits, f.id >> 18, 11);  // base identifier
+    bits.push_back(true);             // SRR (recessive)
+    bits.push_back(true);             // IDE (extended)
+    push_bits(bits, f.id & 0x3FFFFu, 18);
+  }
+  bits.push_back(rtr);
+}
+
+// Classic header + data + CRC-15 (the stuffable region), unstuffed.
+std::vector<bool> ref_stuffable_bits(const CanFrame& f) {
+  std::vector<bool> bits;
+  push_arbitration(bits, f, f.rtr);
+  if (!f.extended) {
+    bits.push_back(false);  // IDE (standard)
+    bits.push_back(false);  // r0
+  } else {
+    bits.push_back(false);  // r1
+    bits.push_back(false);  // r0
+  }
+  push_bits(bits, f.dlc, 4);
+  if (!f.rtr) {  // remote frames carry no data field
+    for (unsigned b = 0; b < f.dlc; ++b) {
+      push_bits(bits, f.data[b], 8);
+    }
+  }
+  push_bits(bits, ref_crc15(bits), 15);
+  return bits;
+}
+
+// Stuff bits the dynamic stuffing rule inserts into `bits`, split into
+// those sent before raw bit `split` and the rest.
+struct StuffCount {
+  unsigned before = 0;
+  unsigned after = 0;
+};
+StuffCount ref_stuff(const std::vector<bool>& bits, std::size_t split) {
+  StuffCount c;
+  unsigned run = 0;
+  bool last = false;
+  bool have_last = false;
+  for (std::size_t k = 0; k < bits.size(); ++k) {
+    const bool b = bits[k];
+    if (have_last && b == last) {
+      ++run;
+    } else {
+      run = 1;
+      last = b;
+      have_last = true;
+    }
+    if (run == 5) {
+      // A stuff bit of opposite polarity goes out between raw bits k and
+      // k+1; it starts a new run that the following raw bit may extend.
+      ++(k + 1 < split ? c.before : c.after);
+      last = !b;
+      run = 1;
+    }
+  }
+  return c;
+}
+
+unsigned ref_exact_wire_bits(const CanFrame& f) {
+  const std::vector<bool> bits = ref_stuffable_bits(f);
+  const StuffCount c = ref_stuff(bits, bits.size());
+  return static_cast<unsigned>(bits.size()) + c.before + c.after + 13;
+}
+
+FdWireBits ref_fd_exact_wire_bits(const CanFrame& f) {
+  std::vector<bool> bits;
+  push_arbitration(bits, f, false);  // RRS (dominant)
+  if (!f.extended) {
+    bits.push_back(false);  // IDE (standard)
+  }
+  bits.push_back(true);   // FDF (recessive marks the FD format)
+  bits.push_back(false);  // res
+  bits.push_back(f.brs);  // BRS: last nominal-rate bit
+  const std::size_t head = bits.size();
+  bits.push_back(false);  // ESI (error active)
+  push_bits(bits, f.dlc, 4);
+  const unsigned n = fd_payload_bytes(f.dlc);
+  for (unsigned b = 0; b < n; ++b) {
+    push_bits(bits, f.data[b], 8);
+  }
+  // A stuff bit triggered by BRS itself is sent after the rate switch.
+  const StuffCount c = ref_stuff(bits, head);
+  FdWireBits w;
+  w.nominal_bits = static_cast<unsigned>(head) + c.before + 13;
+  w.data_bits = static_cast<unsigned>(bits.size() - head) + c.after +
+                (n <= 16 ? 27u : 32u);  // fixed-stuffed CRC field
+  return w;
+}
+
+std::string describe(const CanFrame& f) {
+  std::string s = "id=" + std::to_string(f.id) +
+                  " dlc=" + std::to_string(f.dlc) +
+                  " ext=" + std::to_string(f.extended) +
+                  " rtr=" + std::to_string(f.rtr) +
+                  " fd=" + std::to_string(f.fd) +
+                  " brs=" + std::to_string(f.brs) + " data=";
+  for (unsigned b = 0; b < payload_bytes(f); ++b) {
+    s += std::to_string(f.data[b]) + ",";
+  }
+  return s;
+}
+
+// ----- frame serialization ----------------------------------------------------
+
 TEST(Frame, StuffableBitCount) {
   // SOF + 11 id + RTR/IDE/r0 + 4 DLC + data + 15 CRC = 34 + 8*dlc.
   for (unsigned dlc = 0; dlc <= 8; ++dlc) {
-    EXPECT_EQ(stuffable_bits(frame(0x123, dlc)).size(), 34u + 8 * dlc);
+    EXPECT_EQ(ref_stuffable_bits(frame(0x123, dlc)).size(), 34u + 8 * dlc);
   }
 }
 
 TEST(Frame, Crc15KnownProperty) {
   // CRC of an all-zero sequence is zero; flipping any bit changes it.
   const std::vector<bool> zeros(34, false);
-  EXPECT_EQ(crc15(zeros), 0);
+  EXPECT_EQ(ref_crc15(zeros), 0);
   std::vector<bool> one = zeros;
   one[5] = true;
-  EXPECT_NE(crc15(one), 0);
+  EXPECT_NE(ref_crc15(one), 0);
+}
+
+TEST(Frame, Crc15CheckValue) {
+  // The catalogued CRC-15/CAN check value: ASCII "123456789", each byte
+  // most significant bit first.
+  std::vector<bool> bits;
+  for (const char c : std::string("123456789")) {
+    push_bits(bits, static_cast<std::uint8_t>(c), 8);
+  }
+  EXPECT_EQ(ref_crc15(bits), 0x059E);
+}
+
+TEST(Frame, ExactWireBitsMatchReferenceOnEveryFormat) {
+  // Differential property, 4000 seeded frames per format: every DLC code,
+  // all-zero / all-one / random payloads (the stuffing extremes and the
+  // typical case), and identifiers at both range ends as well as random.
+  enum Format { standard, extended, remote, fd_brs, fd_no_brs, kFormats };
+  support::Rng256 rng(20261019);
+  for (int format = 0; format < kFormats; ++format) {
+    const bool fd = format == fd_brs || format == fd_no_brs;
+    const unsigned codes = fd ? 16 : 9;
+    for (unsigned round = 0; round < 4000; ++round) {
+      CanFrame f;
+      f.fd = fd;
+      f.brs = format == fd_brs;
+      f.rtr = format == remote;
+      f.extended = format == extended ||
+                   (format != standard && rng.chance(0.5));
+      f.dlc = round % codes;
+      const std::uint32_t id_end = 1u << (f.extended ? 29 : 11);
+      switch (round % 5) {
+        case 0: f.id = 0; break;
+        case 1: f.id = id_end - 1; break;
+        default:
+          f.id = static_cast<std::uint32_t>(rng.next_below(id_end));
+      }
+      switch ((round / codes) % 3) {
+        case 0: f.data.fill(0x00); break;
+        case 1: f.data.fill(0xFF); break;
+        default:
+          for (auto& b : f.data) {
+            b = static_cast<std::uint8_t>(rng.next_below(256));
+          }
+      }
+      if (!fd) {
+        ASSERT_EQ(exact_wire_bits(f), ref_exact_wire_bits(f)) << describe(f);
+        continue;
+      }
+      const FdWireBits got = fd_exact_wire_bits(f);
+      const FdWireBits want = ref_fd_exact_wire_bits(f);
+      ASSERT_EQ(got.nominal_bits, want.nominal_bits) << describe(f);
+      ASSERT_EQ(got.data_bits, want.data_bits) << describe(f);
+    }
+  }
+}
+
+TEST(Frame, FdPhaseSplitWorkedExample) {
+  // Standard id 0x000, DLC 0, BRS set. Head: SOF + 11 id + RRS + IDE are
+  // 14 dominant raw bits (stuffs after the 5th and the 9th), then FDF,
+  // res, BRS: 17 raw + 2 stuff + 13 tail = 32 nominal bits. Data: ESI and
+  // the 4 dominant DLC bits follow recessive BRS, so the 5th is stuffed:
+  // 5 raw + 1 stuff + 27 CRC field = 33 data bits.
+  CanFrame f = frame(0x000, 0);
+  f.fd = true;
+  const FdWireBits w = fd_exact_wire_bits(f);
+  EXPECT_EQ(w.nominal_bits, 32u);
+  EXPECT_EQ(w.data_bits, 33u);
+}
+
+TEST(Frame, SerializersRejectMalformedFrames) {
+  CanFrame f = frame(0x800, 1);  // 12 bits: out of the standard range
+  EXPECT_THROW((void)exact_wire_bits(f), std::logic_error);
+  f.extended = true;  // fits 29 bits
+  EXPECT_EQ(exact_wire_bits(f), ref_exact_wire_bits(f));
+  f.id = 1u << 29;
+  EXPECT_THROW((void)exact_wire_bits(f), std::logic_error);
+  EXPECT_THROW((void)exact_wire_bits(frame(0x10, 9)), std::logic_error);
+
+  CanFrame fd = frame(0x10, 15);
+  fd.fd = true;
+  EXPECT_THROW((void)exact_wire_bits(fd), std::logic_error);
+  EXPECT_NO_THROW((void)fd_exact_wire_bits(fd));
+  EXPECT_THROW((void)fd_exact_wire_bits(frame(0x10, 8)), std::logic_error);
+  fd.dlc = 16;
+  EXPECT_THROW((void)fd_exact_wire_bits(fd), std::logic_error);
+  fd.dlc = 8;
+  fd.rtr = true;
+  EXPECT_THROW((void)fd_exact_wire_bits(fd), std::logic_error);
+  fd.rtr = false;
+  fd.id = 0x800;
+  EXPECT_THROW((void)fd_exact_wire_bits(fd), std::logic_error);
 }
 
 TEST(Frame, WorstCaseBoundsExactLength) {
@@ -73,13 +311,13 @@ TEST(Frame, ExtendedAndRemoteStuffableRegionLengths) {
     e.extended = true;
     e.id = 0x1ABC'DE01;
     e.dlc = dlc;
-    EXPECT_EQ(stuffable_bits(e).size(), 54u + 8 * dlc);
+    EXPECT_EQ(ref_stuffable_bits(e).size(), 54u + 8 * dlc);
     // Remote frames keep the DLC field but carry no data bytes.
     CanFrame r = frame(0x123, dlc);
     r.rtr = true;
-    EXPECT_EQ(stuffable_bits(r).size(), 34u);
+    EXPECT_EQ(ref_stuffable_bits(r).size(), 34u);
     e.rtr = true;
-    EXPECT_EQ(stuffable_bits(e).size(), 54u);
+    EXPECT_EQ(ref_stuffable_bits(e).size(), 54u);
   }
 }
 
@@ -131,7 +369,8 @@ TEST(Frame, AllZeroPayloadMaximizesStuffing) {
   // Long runs of identical bits force a stuff bit every 4 data bits.
   const unsigned zero_bits = exact_wire_bits(frame(0, 8, 0x00));
   const unsigned alt_bits = exact_wire_bits(frame(0x555, 8, 0xAA));
-  EXPECT_GT(zero_bits, alt_bits);
+  EXPECT_EQ(zero_bits, 127u);
+  EXPECT_EQ(alt_bits, 112u);
 }
 
 struct BusFixture {
@@ -154,6 +393,25 @@ TEST(Bus, DeliversToOtherNodes) {
   f.q.run_until(sim::kSecond);
   EXPECT_EQ(received, 1);
   EXPECT_EQ(self_received, 0);  // transmitter does not hear itself
+}
+
+TEST(Bus, SendRejectsOutOfRangeIdentifier) {
+  // Regression: send() checked the DLC but not the identifier, so a
+  // 12-bit standard id queued behind a busy wire was accepted and the
+  // check fired later, from inside the event loop at its arbitration.
+  BusFixture f;
+  std::vector<std::uint32_t> heard;
+  f.bus.subscribe(f.b, [&](const CanFrame& fr, SimTime) {
+    heard.push_back(fr.id);
+  });
+  f.bus.send(f.a, frame(0x100, 8));  // takes the wire
+  EXPECT_THROW(f.bus.send(f.a, frame(0x800, 1)), std::logic_error);
+  CanFrame e = frame(1u << 29, 1);
+  e.extended = true;
+  EXPECT_THROW(f.bus.send(f.a, e), std::logic_error);
+  EXPECT_NO_THROW(f.q.run_until(sim::kSecond));
+  ASSERT_EQ(heard.size(), 1u);
+  EXPECT_EQ(heard[0], 0x100u);
 }
 
 TEST(Bus, LowestIdWinsArbitration) {
