@@ -24,14 +24,13 @@ void GatewayNode::join(BusId id, can::CanBus& bus, sim::Simulation& shard) {
   port.node = bus.attach_node(name_);
   port.shard = &shard;
   ports_[id] = port;
-  in_transit_[id];  // pre-create: the map skeleton is immutable at runtime
   bus.subscribe(port.node,
                 [this, id](const can::CanFrame& f, SimTime at) {
                   on_rx(id, f, at);
                 });
   bus.subscribe_tx(port.node,
                    [this, id](const can::CanFrame& f, SimTime at) {
-                     on_tx_done(id, f, at);
+                     complete(id, can::arbitration_key(f), at);
                    });
 }
 
@@ -44,7 +43,6 @@ void GatewayNode::join_flexray(BusId id, FlexrayFabric& fabric,
   port.node = fabric.attach_node(name_);
   port.shard = &shard;
   ports_[id] = port;
-  fr_in_transit_[id];  // pre-create (immutable skeleton at runtime)
   fabric.subscribe(port.node,
                    [this, id](const FlexrayFabric::DynFrameInfo& info,
                               const FlexrayFabric::DynPayload& payload,
@@ -55,7 +53,7 @@ void GatewayNode::join_flexray(BusId id, FlexrayFabric& fabric,
                       [this, id](const FlexrayFabric::DynFrameInfo& info,
                                  const FlexrayFabric::DynPayload&,
                                  SimTime at) {
-                        on_flexray_tx_done(id, info, at);
+                        complete(id, info.slot_id, at);
                       });
 }
 
@@ -254,9 +252,9 @@ void GatewayNode::emit_drop(BusId from, BusId to, std::uint32_t egress_id,
   }
 }
 
-bool GatewayNode::admit(BusId from, BusId to, std::uint32_t egress_id,
-                        SimTime at) {
-  DirectionState& st = dir_state(from, to);
+bool GatewayNode::admit(BusId to, const Transit& t,
+                        std::uint32_t egress_id) {
+  DirectionState& st = dir_state(t.from, to);
   DirectionStats& d = st.stats;
   // Cross-shard directions decide admission on the egress shard (at
   // ingress_at + latency) but must reproduce the serial ingress-time
@@ -265,7 +263,8 @@ bool GatewayNode::admit(BusId from, BusId to, std::uint32_t egress_id,
   // serial interleaving, so replay those releases before judging the
   // queue. Same-shard directions keep the backlog empty and fall straight
   // through to the historical path.
-  while (!st.pending_release.empty() && st.pending_release.front() <= at) {
+  while (!st.pending_release.empty() &&
+         st.pending_release.front() <= t.ingress_at) {
     st.pending_release.pop_front();
     ACES_CHECK(d.queued > 0);
     --d.queued;
@@ -274,103 +273,50 @@ bool GatewayNode::admit(BusId from, BusId to, std::uint32_t egress_id,
     // Bounded store-and-forward buffer: overload drops, it never queues
     // unboundedly — and the drop is visible to the analysis story.
     ++d.dropped_overflow;
-    emit_drop(from, to, egress_id, DropReason::overflow, at);
+    emit_drop(t.from, to, egress_id, DropReason::overflow, t.ingress_at);
     return false;
   }
   ++d.queued;
   d.peak_queued = std::max(d.peak_queued, d.queued);
   ++d.forwarded;
+  if (t.translation != nullptr) {
+    ++t.translation->emitted;
+  }
   return true;
 }
 
-void GatewayNode::credit_emitted(int packed_route, int unpack_route) {
-  if (packed_route >= 0) {
-    ++pack_state_[static_cast<std::size_t>(packed_route)].stats.emitted;
-  }
-  if (unpack_route >= 0) {
-    ++unpack_stats_[static_cast<std::size_t>(unpack_route)].emitted;
-  }
-}
-
-void GatewayNode::queue_can_egress(BusId from, BusId to, can::CanFrame out,
-                                   SimTime ingress_at, SimTime latency,
-                                   int packed_route, int unpack_route) {
+void GatewayNode::queue_egress(BusId to, Transit t, std::uint32_t egress_id,
+                               Egress item, SimTime latency) {
   // After the processing latency the frame enters the egress mailbox and
-  // competes in arbitration like locally-originated traffic. The origin
-  // timestamp rides along untouched (bus.send only stamps negatives).
-  // Admission (and the emitted credit it gates) happens here: at ingress
-  // time on a same-shard direction, replayed on the egress shard on a
-  // cross-shard one.
-  const auto deliver = [this, from, to, out, ingress_at, packed_route,
-                        unpack_route] {
-    Transit t;
-    t.from = from;
-    t.ingress_at = ingress_at;
-    t.packed_route = packed_route;
-    t.unpack_route = unpack_route;
-    in_transit_[to][out.id].push_back(t);
+  // competes like locally-originated traffic. The origin timestamp rides
+  // along untouched (the fabrics only stamp negatives). Admission happens
+  // at ingress time on a same-shard direction, replayed on the egress
+  // shard on a cross-shard one.
+  auto send = [this, to, t, item = std::move(item)] {
     Port& port = ports_[to];
-    port.bus->send(port.node, out);
-  };
-  Port& in = ports_[from];
-  Port& egress = ports_[to];
-  if (in.shard == egress.shard) {
-    if (!admit(from, to, out.id, ingress_at)) {
-      return;
+    if (const auto* frame = std::get_if<can::CanFrame>(&item)) {
+      port.in_transit[can::arbitration_key(*frame)].push_back(t);
+      port.bus->send(port.node, *frame);
+    } else {
+      const DynEgress& dyn = std::get<DynEgress>(item);
+      port.in_transit[port.flexray->dyn_info(dyn.dyn).slot_id].push_back(t);
+      port.flexray->send_dynamic(dyn.dyn, dyn.payload);
     }
-    credit_emitted(packed_route, unpack_route);
-    in.shard->schedule_in(latency, deliver);
+  };
+  sim::Simulation& in = *ports_[t.from].shard;
+  sim::Simulation& out = *ports_[to].shard;
+  if (&in == &out) {
+    if (admit(to, t, egress_id)) {
+      in.schedule_in(latency, std::move(send));
+    }
     return;
   }
-  in.shard->post_cross(
-      *egress.shard, ingress_at + latency,
-      [this, from, to, out, ingress_at, packed_route, unpack_route, deliver] {
-        if (!admit(from, to, out.id, ingress_at)) {
-          return;
-        }
-        credit_emitted(packed_route, unpack_route);
-        deliver();
-      });
-}
-
-void GatewayNode::queue_flexray_egress(BusId from, BusId to,
-                                       FlexrayFabric::DynId dyn,
-                                       FlexrayFabric::DynPayload payload,
-                                       SimTime ingress_at, SimTime latency,
-                                       int packed_route) {
-  const int slot_key =
-      static_cast<int>(ports_[to].flexray->dyn_info(dyn).slot_id);
-  const std::uint32_t egress_id = packed_routes_[static_cast<std::size_t>(
-      packed_route)].egress_id;
-  const auto deliver = [this, from, to, dyn, slot_key,
-                        payload = std::move(payload), ingress_at,
-                        packed_route] {
-    Transit t;
-    t.from = from;
-    t.ingress_at = ingress_at;
-    t.packed_route = packed_route;
-    fr_in_transit_[to][slot_key].push_back(t);
-    ports_[to].flexray->send_dynamic(dyn, payload);
-  };
-  Port& in = ports_[from];
-  Port& egress = ports_[to];
-  if (in.shard == egress.shard) {
-    if (!admit(from, to, egress_id, ingress_at)) {
-      return;
-    }
-    credit_emitted(packed_route, -1);
-    in.shard->schedule_in(latency, deliver);
-    return;
-  }
-  in.shard->post_cross(*egress.shard, ingress_at + latency,
-                       [this, from, to, egress_id, ingress_at, packed_route,
-                        deliver] {
-                         if (!admit(from, to, egress_id, ingress_at)) {
-                           return;
-                         }
-                         credit_emitted(packed_route, -1);
-                         deliver();
-                       });
+  in.post_cross(out, t.ingress_at + latency,
+                [this, to, t, egress_id, send = std::move(send)] {
+                  if (admit(to, t, egress_id)) {
+                    send();
+                  }
+                });
 }
 
 void GatewayNode::on_rx(BusId from, const can::CanFrame& frame, SimTime at) {
@@ -389,8 +335,8 @@ void GatewayNode::on_rx(BusId from, const can::CanFrame& frame, SimTime at) {
       emit_drop(from, route.to, out.id, DropReason::translation, at);
       continue;
     }
-    queue_can_egress(from, route.to, out, at, config_.forwarding_latency,
-                     -1, -1);
+    queue_egress(route.to, Transit{from, at}, out.id, out,
+                 config_.forwarding_latency);
   }
   const unsigned pb = frame.rtr ? 0 : can::payload_bytes(frame);
   for (std::size_t i = 0; i < packed_routes_.size(); ++i) {
@@ -417,15 +363,15 @@ void GatewayNode::on_rx(BusId from, const can::CanFrame& frame, SimTime at) {
     if (frame.id != route.trigger_id) {
       continue;
     }
-    const SimTime latency =
-        route.latency < 0 ? config_.forwarding_latency : route.latency;
+    const Transit t{from, at, &st.stats};
+    const SimTime latency = config_.latency_of(route.latency);
     if (route.egress_dyn >= 0) {
-      FlexrayFabric::DynPayload p;
-      p.bytes = route.egress_bytes;
-      std::copy_n(st.buffer.begin(), p.bytes, p.data.begin());
-      p.timestamp = frame.timestamp;
-      queue_flexray_egress(from, route.to, route.egress_dyn, std::move(p),
-                           at, latency, static_cast<int>(i));
+      DynEgress e;
+      e.dyn = route.egress_dyn;
+      e.payload.bytes = route.egress_bytes;
+      std::copy_n(st.buffer.begin(), e.payload.bytes, e.payload.data.begin());
+      e.payload.timestamp = frame.timestamp;
+      queue_egress(route.to, t, route.egress_id, std::move(e), latency);
     } else {
       can::CanFrame out;
       out.id = route.egress_id;
@@ -437,8 +383,7 @@ void GatewayNode::on_rx(BusId from, const can::CanFrame& frame, SimTime at) {
       std::copy_n(st.buffer.begin(), can::payload_bytes(out),
                   out.data.begin());
       out.timestamp = frame.timestamp;
-      queue_can_egress(from, route.to, out, at, latency,
-                       static_cast<int>(i), -1);
+      queue_egress(route.to, t, out.id, out, latency);
     }
   }
   for (std::size_t i = 0; i < unpack_routes_.size(); ++i) {
@@ -474,11 +419,11 @@ void GatewayNode::run_unpack(std::size_t route_index,
                              SimTime at) {
   TranslationStats& st = unpack_stats_[route_index];
   ++st.updates;
-  const SimTime latency =
-      route.latency < 0 ? config_.forwarding_latency : route.latency;
+  const Transit t{route.from, at, &st};
+  const SimTime latency = config_.latency_of(route.latency);
   for (const UnpackSlot& slot : route.table) {
-    // A full direction drops this slice inside queue_can_egress; later
-    // slices may still fit.
+    // A full direction drops this slice inside queue_egress; later slices
+    // may still fit.
     can::CanFrame out;
     out.id = slot.dst_id;
     out.extended = slot.extended;
@@ -490,21 +435,19 @@ void GatewayNode::run_unpack(std::size_t route_index,
       out.data[k] = src < payload_bytes ? payload[src] : 0;
     }
     out.timestamp = timestamp;
-    queue_can_egress(route.from, route.to, out, at, latency, -1,
-                     static_cast<int>(route_index));
+    queue_egress(route.to, t, out.id, out, latency);
   }
 }
 
-void GatewayNode::on_tx_done(BusId to, const can::CanFrame& frame,
-                             SimTime at) {
-  auto& by_id = in_transit_[to];
-  const auto it = by_id.find(frame.id);
-  ACES_CHECK_MSG(it != by_id.end() && !it->second.empty(),
+void GatewayNode::complete(BusId to, std::uint32_t key, SimTime at) {
+  auto& in_transit = ports_[to].in_transit;
+  const auto it = in_transit.find(key);
+  ACES_CHECK_MSG(it != in_transit.end() && !it->second.empty(),
                  "gateway '" + name_ + "' completed a frame it never sent");
   const Transit t = it->second.front();
   it->second.pop_front();
   if (it->second.empty()) {
-    by_id.erase(it);
+    in_transit.erase(it);
   }
   DirectionState& st = dir_state(t.from, to);
   DirectionStats& d = st.stats;
@@ -519,46 +462,9 @@ void GatewayNode::on_tx_done(BusId to, const can::CanFrame& frame,
   ++d.delivered;
   const SimTime transit = at - t.ingress_at;
   d.worst_transit = std::max(d.worst_transit, transit);
-  if (t.packed_route >= 0) {
-    TranslationStats& ts =
-        pack_state_[static_cast<std::size_t>(t.packed_route)].stats;
-    ts.worst_transit = std::max(ts.worst_transit, transit);
-  }
-  if (t.unpack_route >= 0) {
-    TranslationStats& ts =
-        unpack_stats_[static_cast<std::size_t>(t.unpack_route)];
-    ts.worst_transit = std::max(ts.worst_transit, transit);
-  }
-}
-
-void GatewayNode::on_flexray_tx_done(BusId to,
-                                     const FlexrayFabric::DynFrameInfo& info,
-                                     SimTime at) {
-  auto& by_slot = fr_in_transit_[to];
-  const auto it = by_slot.find(static_cast<int>(info.slot_id));
-  ACES_CHECK_MSG(it != by_slot.end() && !it->second.empty(),
-                 "gateway '" + name_ + "' completed a dynamic frame it "
-                 "never sent");
-  const Transit t = it->second.front();
-  it->second.pop_front();
-  if (it->second.empty()) {
-    by_slot.erase(it);
-  }
-  DirectionState& st = dir_state(t.from, to);
-  DirectionStats& d = st.stats;
-  if (ports_[t.from].shard == ports_[to].shard) {
-    ACES_CHECK(d.queued > 0);
-    --d.queued;
-  } else {
-    st.pending_release.push_back(at);
-  }
-  ++d.delivered;
-  const SimTime transit = at - t.ingress_at;
-  d.worst_transit = std::max(d.worst_transit, transit);
-  if (t.packed_route >= 0) {
-    TranslationStats& ts =
-        pack_state_[static_cast<std::size_t>(t.packed_route)].stats;
-    ts.worst_transit = std::max(ts.worst_transit, transit);
+  if (t.translation != nullptr) {
+    t.translation->worst_transit =
+        std::max(t.translation->worst_transit, transit);
   }
 }
 

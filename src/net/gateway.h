@@ -35,6 +35,18 @@
 // DynPayload timestamp) is preserved across the hop, so receivers measure
 // true end-to-end latency, the quantity sched::path_rta bounds.
 //
+// Every route kind, on either fabric, leaves through one egress datapath
+// and returns through one completion path. Egress takes a CAN frame or a
+// FlexRay dynamic frame id plus payload, decides admission, credits the
+// translating route, records the frame as in transit and hands it to the
+// egress port. Each port keeps its in-flight frames in FIFOs keyed the
+// way its wire orders them: by can::arbitration_key on a CAN port (so a
+// standard and an extended frame with one identifier, or a data and a
+// remote frame, are told apart) and by dynamic slot id on a FlexRay port.
+// A wire completion releases the front of its key's FIFO — exactly the
+// frame the wire carried, since the mailbox is FIFO among equal keys and
+// re-queues a retransmission ahead of its equal-key siblings.
+//
 // A frame the gateway itself transmits is never received back by the
 // gateway on that bus (CAN delivery skips the transmitter), so a pair of
 // complementary routes cannot ping-pong one frame. Multi-hop forwarding
@@ -48,6 +60,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "can/bus.h"
@@ -148,20 +161,31 @@ struct GatewayConfig {
   // the egress wire). 0 is rejected — a gateway that can hold nothing
   // forwards nothing.
   unsigned queue_depth = 16;
+
+  // The one latency rule: a route's processing latency is its own
+  // `latency` when set, forwarding_latency when negative (plain routes
+  // carry none and always pass -1).
+  [[nodiscard]] sim::SimTime latency_of(sim::SimTime route_latency) const {
+    return route_latency < 0 ? forwarding_latency : route_latency;
+  }
 };
 
 // Sharding: a gateway may bridge buses living on different sim::Shards —
 // it is the ONLY cross-shard element in a Network. Each port remembers its
 // bus's shard; ingress handling (route match, translation, packing) runs
-// on the ingress shard, egress (mailbox entry, wire completion, per-
-// direction queue accounting) on the egress shard. A cross-shard hop
-// travels through the shard outbox at ingress_time + forwarding_latency —
-// which is exactly why the forwarding latency is the synchronization
-// lookahead. Admission for a cross direction is decided on the egress
-// shard but reproduces the serial ingress-time decision exactly: egress
-// completions stamped at or before the frame's ingress instant are
-// replayed (released) first. Directions whose ports share a shard take
-// today's path byte for byte.
+// on the ingress shard, egress (mailbox entry, wire completion, the
+// port's in-flight FIFOs, per-direction queue accounting) on the egress
+// shard. The one egress routine branches on a single question, whether
+// the two ports share a shard. If they do, it admits at the ingress
+// instant and schedules the mailbox entry `latency` later on that shard.
+// If not, the hop travels through the shard outbox at ingress_time +
+// latency — which is exactly why the forwarding latency is the
+// synchronization lookahead — and admission is decided there, on the
+// egress shard, reproducing the serial ingress-time decision exactly:
+// egress completions stamped at or before the frame's ingress instant are
+// replayed (released) first. The one completion routine frees the slot at
+// once on a same-shard direction and queues the release for that replay
+// on a cross-shard one.
 class GatewayNode {
  public:
   GatewayNode(std::string name, GatewayConfig config);
@@ -254,47 +278,54 @@ class GatewayNode {
   void reset_stats();
 
  private:
+  // A frame handed to an egress mailbox, awaiting its wire completion.
+  struct Transit {
+    BusId from = -1;
+    sim::SimTime ingress_at = 0;
+    TranslationStats* translation = nullptr;  // translating route, if any
+  };
   struct Port {
     can::CanBus* bus = nullptr;         // exactly one of bus/flexray set
     FlexrayFabric* flexray = nullptr;
     can::NodeId node = -1;              // node id on whichever fabric
     sim::Simulation* shard = nullptr;   // the scheduler this fabric lives on
+    // Frames in flight through this egress port, one FIFO per
+    // can::arbitration_key (CAN) or dynamic slot id (FlexRay); see the
+    // file comment for why the front is always the completed frame.
+    std::map<std::uint32_t, std::deque<Transit>> in_transit;
   };
-  struct Transit {  // a frame handed to an egress mailbox, awaiting the wire
-    BusId from = -1;
-    sim::SimTime ingress_at = 0;
-    int packed_route = -1;  // translating route to credit on delivery
-    int unpack_route = -1;
+  // What a route hands to an egress port: a CAN frame, or a FlexRay
+  // dynamic frame id plus its payload.
+  struct DynEgress {
+    FlexrayFabric::DynId dyn = -1;
+    FlexrayFabric::DynPayload payload;
   };
+  using Egress = std::variant<can::CanFrame, DynEgress>;
 
   void on_rx(BusId from, const can::CanFrame& frame, sim::SimTime at);
-  void on_tx_done(BusId to, const can::CanFrame& frame, sim::SimTime at);
   void on_flexray_rx(BusId from, const FlexrayFabric::DynFrameInfo& info,
                      const FlexrayFabric::DynPayload& payload,
                      sim::SimTime at);
-  void on_flexray_tx_done(BusId to, const FlexrayFabric::DynFrameInfo& info,
-                          sim::SimTime at);
   // Applies a plain route's format overrides in place; false = the frame
   // cannot be represented on egress (demotion overflow).
   [[nodiscard]] bool translate_format(const Route& route,
                                       can::CanFrame& out) const;
-  // Bounded admission into direction (from, to); false = overflow drop
-  // (fires the drop hooks with `egress_id`).
-  [[nodiscard]] bool admit(BusId from, BusId to, std::uint32_t egress_id,
-                           sim::SimTime at);
+  // Bounded admission of `t` into direction (t.from, to), crediting its
+  // translating route; false = overflow drop (fires the drop hooks with
+  // `egress_id`).
+  [[nodiscard]] bool admit(BusId to, const Transit& t,
+                           std::uint32_t egress_id);
   void emit_drop(BusId from, BusId to, std::uint32_t egress_id,
                  DropReason reason, sim::SimTime at);
-  void queue_can_egress(BusId from, BusId to, can::CanFrame out,
-                        sim::SimTime ingress_at, sim::SimTime latency,
-                        int packed_route, int unpack_route);
-  void queue_flexray_egress(BusId from, BusId to, FlexrayFabric::DynId dyn,
-                            FlexrayFabric::DynPayload payload,
-                            sim::SimTime ingress_at, sim::SimTime latency,
-                            int packed_route);
+  // The one egress datapath (see the sharding note above the class):
+  // admission, translation credit, the in-flight record and the send.
+  void queue_egress(BusId to, Transit t, std::uint32_t egress_id,
+                    Egress item, sim::SimTime latency);
+  // The one completion: the egress wire finished the frame under `key`.
+  void complete(BusId to, std::uint32_t key, sim::SimTime at);
   void run_unpack(std::size_t route_index, const UnpackRoute& route,
                   const std::uint8_t* payload, unsigned payload_bytes,
                   std::int64_t timestamp, sim::SimTime at);
-  void credit_emitted(int packed_route, int unpack_route);
   [[nodiscard]] const Port& port_of(BusId id) const;
 
   // Per-direction accounting plus the cross-shard release backlog (see
@@ -315,21 +346,15 @@ class GatewayNode {
   std::vector<Route> routes_;
   std::vector<PackedRoute> packed_routes_;
   std::vector<UnpackRoute> unpack_routes_;
-  // Latest-value packing buffer + statistics, one per packed route.
+  // Latest-value packing buffer + statistics, one per packed route. Deques:
+  // a Transit points into them, so adding a route must not move them.
   struct PackState {
     std::array<std::uint8_t, FlexrayFabric::kMaxPayload> buffer{};
     TranslationStats stats;
   };
-  std::vector<PackState> pack_state_;
-  std::vector<TranslationStats> unpack_stats_;
+  std::deque<PackState> pack_state_;
+  std::deque<TranslationStats> unpack_stats_;
   std::map<std::pair<BusId, BusId>, DirectionState> directions_;
-  // Per egress bus, per egress identifier: FIFO of frames handed to the
-  // mailbox but not yet delivered (equal-priority mailbox order is FIFO,
-  // and retransmission preserves it, so attribution by id is exact).
-  std::map<BusId, std::map<std::uint32_t, std::deque<Transit>>> in_transit_;
-  // Same, for FlexRay egress, keyed by dynamic slot id (unique per fabric;
-  // one FIFO per dynamic frame).
-  std::map<BusId, std::map<int, std::deque<Transit>>> fr_in_transit_;
   std::vector<DropHandler> drop_handlers_;
 };
 

@@ -216,25 +216,29 @@ Network::Network(const NetworkBuilder& b) : sim_(b.quantum_) {
   // guarantees). All of it is a pure function of the builder description,
   // so shard assignment — and therefore every simulation result — is
   // deterministic.
+  //
+  // One walk over a gateway's plain, packed and unpack routes yields each
+  // route's (from, to, effective latency); the partitioning pass and the
+  // gateway join sets below both use it.
+  const auto each_route = [](const NetworkBuilder::GatewaySpec& spec,
+                             const auto& visit) {
+    for (const Route& r : spec.routes) {
+      visit(r.from, r.to, spec.config.forwarding_latency);
+    }
+    for (const NetworkBuilder::PackedRouteSpec& p : spec.packed) {
+      visit(p.route.from, p.route.to, spec.config.latency_of(p.route.latency));
+    }
+    for (const NetworkBuilder::UnpackRouteSpec& u : spec.unpack) {
+      visit(u.route.from, u.route.to, spec.config.latency_of(u.route.latency));
+    }
+  };
   const std::size_t nbuses = b.buses_.size();
   UnionFind uf(nbuses);
   std::map<std::pair<BusId, BusId>, std::set<sim::SimTime>> edge_lat;
   for (const NetworkBuilder::GatewaySpec& spec : b.gateways_) {
-    for (const Route& r : spec.routes) {
-      edge_lat[{r.from, r.to}].insert(spec.config.forwarding_latency);
-    }
-    for (const NetworkBuilder::PackedRouteSpec& p : spec.packed) {
-      const sim::SimTime lat = p.route.latency < 0
-                                   ? spec.config.forwarding_latency
-                                   : p.route.latency;
-      edge_lat[{p.route.from, p.route.to}].insert(lat);
-    }
-    for (const NetworkBuilder::UnpackRouteSpec& u : spec.unpack) {
-      const sim::SimTime lat = u.route.latency < 0
-                                   ? spec.config.forwarding_latency
-                                   : u.route.latency;
-      edge_lat[{u.route.from, u.route.to}].insert(lat);
-    }
+    each_route(spec, [&](BusId from, BusId to, sim::SimTime latency) {
+      edge_lat[{from, to}].insert(latency);
+    });
   }
   if (b.shards_ == 1) {
     for (std::size_t i = 1; i < nbuses; ++i) {
@@ -319,18 +323,10 @@ Network::Network(const NetworkBuilder& b) : sim_(b.quantum_) {
     auto gw = std::make_unique<GatewayNode>(spec.name, spec.config);
     // Join every segment the routing table references, in id order.
     std::set<BusId> joined;
-    for (const Route& r : spec.routes) {
-      joined.insert(r.from);
-      joined.insert(r.to);
-    }
-    for (const NetworkBuilder::PackedRouteSpec& p : spec.packed) {
-      joined.insert(p.route.from);
-      joined.insert(p.route.to);
-    }
-    for (const NetworkBuilder::UnpackRouteSpec& u : spec.unpack) {
-      joined.insert(u.route.from);
-      joined.insert(u.route.to);
-    }
+    each_route(spec, [&](BusId from, BusId to, sim::SimTime) {
+      joined.insert(from);
+      joined.insert(to);
+    });
     for (const BusId id : joined) {
       sim::Simulation& shard = *shard_of_bus_[static_cast<std::size_t>(id)];
       if (is_can(id)) {

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
+#include <utility>
 
 #include "cpu/profiles.h"
 #include "isa/assembler.h"
@@ -160,6 +162,95 @@ TEST(Gateway, BoundedQueueDropsOnOverflowAndRecovers) {
       net.gateway(gw).direction(fast, slow);
   EXPECT_EQ(after.forwarded + after.dropped_overflow, 7u);
   EXPECT_EQ(after.forwarded, after.delivered);
+}
+
+TEST(Gateway, CompletionReleasesTheFrameTheWireCarried) {
+  // Two frames with one identifier but different arbitration keys share a
+  // gateway egress port: A's frame reaches the gateway first, B's wins
+  // arbitration on the busy egress bus and leaves first. B's completion
+  // must release B's in-flight record, not A's (the FIFO of in-flight
+  // frames follows arbitration order, not the bare identifier).
+  can::CanFrame std0;  // base id 0x100
+  std0.id = 0x100;
+  std0.dlc = 0;
+  can::CanFrame ext8;  // extended 0x100: base id 0, beats std0
+  ext8.id = 0x100;
+  ext8.extended = true;
+  ext8.dlc = 8;
+  can::CanFrame remote;
+  remote.id = 0x100;
+  remote.rtr = true;
+  can::CanFrame data8;  // a data frame beats the same-id remote frame
+  data8.id = 0x100;
+  data8.dlc = 8;
+  const std::pair<can::CanFrame, can::CanFrame> inputs[] = {
+      {std0, ext8}, {remote, data8}};
+  for (const auto& [fa, fb] : inputs) {
+    for (const bool single_shard : {true, false}) {
+      SCOPED_TRACE(std::string(fb.extended ? "std/ext" : "remote/data") +
+                   (single_shard ? ", shards(1)" : ", partitioned"));
+      NetworkBuilder nb;
+      const BusId a = nb.bus("a", 500'000);
+      const BusId b = nb.bus("b", 500'000);
+      const BusId c = nb.bus("c", 125'000);
+      GatewayConfig gc;
+      gc.forwarding_latency = 100 * kMicrosecond;
+      const GatewayId gw = nb.gateway("gw", gc);
+      nb.route(gw, {a, c, 0x100, 0x7FF, {}});
+      nb.route(gw, {b, c, 0x100, 0x7FF, {}});
+      if (single_shard) {
+        nb.shards(1);
+      }
+      Network net = nb.build();
+      ASSERT_EQ(net.shard_count(), single_shard ? 1u : 3u);
+
+      // Bus c is busy with a local frame while both forwarded frames
+      // enter the gateway's mailbox.
+      can::CanFrame block;
+      block.id = 0x7F0;
+      block.dlc = 8;
+      const SimTime ingress_a = net.bus(a).frame_time(fa);
+      const SimTime ingress_b = net.bus(b).frame_time(fb);
+      const SimTime done_b =
+          net.bus(c).frame_time(block) + net.bus(c).frame_time(fb);
+      const SimTime done_a = done_b + net.bus(c).frame_time(fa);
+      ASSERT_LT(ingress_b + gc.forwarding_latency,
+                net.bus(c).frame_time(block));
+
+      std::vector<std::pair<std::uint32_t, SimTime>> heard;
+      const can::NodeId sink = net.bus(c).attach_node("sink");
+      net.bus(c).subscribe(sink, [&](const can::CanFrame& f, SimTime at) {
+        heard.emplace_back(can::arbitration_key(f), at);
+      });
+      net.bus(a).send(net.bus(a).attach_node("src_a"), fa);
+      net.bus(b).send(net.bus(b).attach_node("src_b"), fb);
+      net.bus(c).send(net.bus(c).attach_node("local"), block);
+
+      // Between the two egress completions: only B -> C has delivered.
+      net.run_until((done_b + done_a) / 2);
+      const GatewayNode::DirectionStats mid_a = net.gateway(gw).direction(a, c);
+      const GatewayNode::DirectionStats mid_b = net.gateway(gw).direction(b, c);
+      EXPECT_EQ(mid_a.forwarded, 1u);
+      EXPECT_EQ(mid_a.delivered, 0u);
+      EXPECT_EQ(mid_a.queued, 1u);
+      EXPECT_EQ(mid_b.forwarded, 1u);
+      EXPECT_EQ(mid_b.delivered, 1u);
+      EXPECT_EQ(mid_b.queued, 0u);
+
+      net.run_until(10 * kMillisecond);
+      ASSERT_EQ(heard.size(), 3u);
+      EXPECT_EQ(heard[1], std::make_pair(can::arbitration_key(fb), done_b));
+      EXPECT_EQ(heard[2], std::make_pair(can::arbitration_key(fa), done_a));
+      const GatewayNode::DirectionStats end_a = net.gateway(gw).direction(a, c);
+      const GatewayNode::DirectionStats end_b = net.gateway(gw).direction(b, c);
+      EXPECT_EQ(end_a.delivered, 1u);
+      EXPECT_EQ(end_b.delivered, 1u);
+      EXPECT_EQ(end_a.queued, 0u);
+      EXPECT_EQ(end_b.queued, 0u);
+      EXPECT_EQ(end_a.worst_transit, done_a - ingress_a);
+      EXPECT_EQ(end_b.worst_transit, done_b - ingress_b);
+    }
+  }
 }
 
 TEST(EcuNode, BothFidelitiesAttachThroughOneCall) {

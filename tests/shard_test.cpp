@@ -289,16 +289,68 @@ TEST(NetworkSharding, ShardsAcceptsOnlyPartitionOrSingle) {
 
 // ----- net-level determinism: sharded == single-shard ------------------------
 
+// Every counter a gateway keeps, flattened for exact comparison: each
+// direction's snapshot over every ordered bus pair (unrouted pairs read
+// zero), then every packed and unpack route's translation stats.
+std::vector<std::int64_t> gateway_counters(net::Network& net) {
+  std::vector<std::int64_t> out;
+  for (std::size_t g = 0; g < net.gateway_count(); ++g) {
+    net::GatewayNode& gw = net.gateway(static_cast<GatewayId>(g));
+    for (std::size_t from = 0; from < net.bus_count(); ++from) {
+      for (std::size_t to = 0; to < net.bus_count(); ++to) {
+        const net::GatewayNode::DirectionStats d = gw.direction(
+            static_cast<BusId>(from), static_cast<BusId>(to));
+        out.insert(out.end(),
+                   {static_cast<std::int64_t>(d.forwarded),
+                    static_cast<std::int64_t>(d.delivered),
+                    static_cast<std::int64_t>(d.dropped_overflow),
+                    static_cast<std::int64_t>(d.dropped_translation),
+                    static_cast<std::int64_t>(d.queued),
+                    static_cast<std::int64_t>(d.peak_queued),
+                    d.worst_transit});
+      }
+    }
+    const auto append = [&out](const net::GatewayNode::TranslationStats& t) {
+      out.insert(out.end(), {static_cast<std::int64_t>(t.updates),
+                             static_cast<std::int64_t>(t.emitted),
+                             t.worst_transit});
+    };
+    for (std::size_t i = 0; i < gw.packed_routes().size(); ++i) {
+      append(gw.packed_stats(i));
+    }
+    for (std::size_t i = 0; i < gw.unpack_routes().size(); ++i) {
+      append(gw.unpack_stats(i));
+    }
+  }
+  return out;
+}
+
+// Frames every gateway dropped (the one-frame-queue inputs must drop).
+std::uint64_t gateway_drops(net::Network& net) {
+  std::uint64_t drops = 0;
+  for (std::size_t g = 0; g < net.gateway_count(); ++g) {
+    drops += net.gateway(static_cast<GatewayId>(g)).stats().frames_dropped;
+  }
+  return drops;
+}
+
 // A three-bus kernel-model vehicle: periodic senders on two buses, a
 // central gateway routing both directions, RX-activated consumers.
 // Model-fidelity networks are pure event-driven, so the sharded run must
-// reproduce the single-shard run EXACTLY (same frames, same instants).
-NetworkBuilder vehicle_topology() {
+// reproduce the single-shard run EXACTLY (same frames, same instants,
+// same gateway counters). The engine publishes a second frame just
+// before its first one completes on the slow body bus: with a one-frame
+// gateway queue the second frame overflows at its ingress instant, while
+// by the time it reaches the body shard the first one has left — only
+// the cross-shard admission replay reproduces the serial drop.
+NetworkBuilder vehicle_topology(unsigned queue_depth = 16) {
   NetworkBuilder nb;
   const BusId pt = nb.bus("powertrain", 500'000);
   const BusId body = nb.bus("body", 125'000);
   const BusId diag = nb.bus("diag", 250'000);
-  const GatewayId gw = nb.gateway("central", gw_cfg(200 * kMicrosecond));
+  net::GatewayConfig gc = gw_cfg(200 * kMicrosecond);
+  gc.queue_depth = queue_depth;
+  const GatewayId gw = nb.gateway("central", gc);
   nb.route(gw, {pt, body, 0x100, 0x700, {}});
   nb.route(gw, {body, pt, 0x300, 0x700, {}});
   nb.route(gw, {pt, diag, 0x100, 0x700, {}});
@@ -313,7 +365,12 @@ NetworkBuilder vehicle_topology() {
   speed_tx.id = 0x120;
   speed_tx.dlc = 8;
   speed.tx = speed_tx;
-  nb.ecu(pt, "engine", {speed});
+  ModelTask rpm = speed;
+  rpm.name = "rpm";
+  rpm.priority = 4;
+  rpm.exec = 1100 * kMicrosecond;
+  rpm.tx->id = 0x121;
+  nb.ecu(pt, "engine", {speed, rpm});
 
   ModelTask door;
   door.name = "door";
@@ -334,10 +391,13 @@ struct RunSignature {
   std::uint64_t latency_hash = 0;
   std::uint64_t forwarded = 0;
   std::uint64_t delivered = 0;
+  std::uint64_t dropped = 0;
+  std::vector<std::int64_t> gateway;
 
   bool operator==(const RunSignature& o) const {
     return frames == o.frames && latency_hash == o.latency_hash &&
-           forwarded == o.forwarded && delivered == o.delivered;
+           forwarded == o.forwarded && delivered == o.delivered &&
+           dropped == o.dropped && gateway == o.gateway;
   }
 };
 
@@ -373,31 +433,37 @@ RunSignature run_vehicle(NetworkBuilder nb, unsigned threads) {
   }
   sig.forwarded = net.gateway(0).stats().frames_forwarded;
   sig.delivered = net.gateway(0).stats().frames_delivered;
+  sig.dropped = gateway_drops(net);
+  sig.gateway = gateway_counters(net);
   return sig;
 }
 
 TEST(NetworkSharding, ShardedVehicleReproducesTheSingleShardRun) {
-  NetworkBuilder sharded = vehicle_topology();
-  NetworkBuilder single = vehicle_topology();
-  single.shards(1);
-  {
-    net::Network probe = vehicle_topology().build();
-    ASSERT_EQ(probe.shard_count(), 3u);  // the sharded build really shards
+  for (const unsigned depth : {16u, 1u}) {
+    SCOPED_TRACE("queue_depth " + std::to_string(depth));
+    NetworkBuilder sharded = vehicle_topology(depth);
+    NetworkBuilder single = vehicle_topology(depth);
+    single.shards(1);
+    {
+      net::Network probe = vehicle_topology(depth).build();
+      ASSERT_EQ(probe.shard_count(), 3u);  // the sharded build really shards
+    }
+    const RunSignature base = run_vehicle(single, 1);
+    EXPECT_GT(base.frames, 0u);
+    EXPECT_GT(base.forwarded, 0u);
+    EXPECT_EQ(base.dropped > 0, depth == 1);
+    // 1-vs-N shards and 1-vs-N threads: all identical to the serial run.
+    EXPECT_EQ(run_vehicle(sharded, 1), base);
+    EXPECT_EQ(run_vehicle(sharded, 2), base);
+    EXPECT_EQ(run_vehicle(sharded, 4), base);
   }
-  const RunSignature base = run_vehicle(single, 1);
-  EXPECT_GT(base.frames, 0u);
-  EXPECT_GT(base.forwarded, 0u);
-  // 1-vs-N shards and 1-vs-N threads: all identical to the serial run.
-  EXPECT_EQ(run_vehicle(sharded, 1), base);
-  EXPECT_EQ(run_vehicle(sharded, 2), base);
-  EXPECT_EQ(run_vehicle(sharded, 4), base);
 }
 
 TEST(NetworkSharding, ZonalFlexrayTopologyIsShardCountInvariant) {
   // CAN zone -> translating gateway -> FlexRay backbone -> gateway -> CAN
   // zone: the cross-fabric path of the zonal example, here pinned to be
   // identical between the single-shard and sharded builds.
-  const auto topology = [] {
+  const auto topology = [](unsigned queue_depth) {
     NetworkBuilder nb;
     const BusId zone_f = nb.bus("zone_front", 500'000);
     const BusId zone_r = nb.bus("zone_rear", 500'000);
@@ -408,8 +474,10 @@ TEST(NetworkSharding, ZonalFlexrayTopologyIsShardCountInvariant) {
     fc.minislots = 40;  // dynamic slot id 30 is reachable within a cycle
     fc.minislot = 20 * kMicrosecond;
     const BusId bb = nb.flexray("backbone", fc);
-    const GatewayId gf = nb.gateway("gw_front", gw_cfg(100 * kMicrosecond));
-    const GatewayId gr = nb.gateway("gw_rear", gw_cfg(100 * kMicrosecond));
+    net::GatewayConfig gc = gw_cfg(100 * kMicrosecond);
+    gc.queue_depth = queue_depth;
+    const GatewayId gf = nb.gateway("gw_front", gc);
+    const GatewayId gr = nb.gateway("gw_rear", gc);
     net::PackedRoute pr;
     pr.from = zone_f;
     pr.to = bb;
@@ -442,31 +510,39 @@ TEST(NetworkSharding, ZonalFlexrayTopologyIsShardCountInvariant) {
     nb.ecu(zone_f, "front_sensors", {sensor, trigger});
     return nb;
   };
-  const auto run = [&](bool single_shard, unsigned threads) {
-    NetworkBuilder nb = topology();
+  const auto run = [&](unsigned depth, bool single_shard, unsigned threads) {
+    NetworkBuilder nb = topology(depth);
     if (single_shard) {
       nb.shards(1);
     }
     nb.threads(threads);
     net::Network net = nb.build();
-    std::uint64_t frames = 0, hash = 0;
+    RunSignature sig;
     const can::NodeId probe = net.bus(1).attach_node("probe");
     net.bus(1).subscribe(probe, [&](const can::CanFrame& f, SimTime at) {
-      ++frames;
-      hash += (static_cast<std::uint64_t>(f.id) + 1) *
-              static_cast<std::uint64_t>(at);
+      ++sig.frames;
+      sig.latency_hash += (static_cast<std::uint64_t>(f.id) + 1) *
+                          static_cast<std::uint64_t>(at);
     });
     net.run_until(200 * kMillisecond);
-    return std::pair<std::uint64_t, std::uint64_t>(frames, hash);
+    sig.dropped = gateway_drops(net);
+    sig.gateway = gateway_counters(net);
+    return sig;
   };
   {
-    net::Network probe = topology().build();
+    net::Network probe = topology(16).build();
     ASSERT_EQ(probe.shard_count(), 3u);
   }
-  const auto base = run(true, 1);
-  EXPECT_GT(base.first, 0u);
-  EXPECT_EQ(run(false, 1), base);
-  EXPECT_EQ(run(false, 2), base);
+  // A one-frame queue drops the second slice of every unpacked frame.
+  for (const unsigned depth : {16u, 1u}) {
+    SCOPED_TRACE("queue_depth " + std::to_string(depth));
+    const RunSignature base = run(depth, true, 1);
+    EXPECT_GT(base.frames, 0u);
+    EXPECT_EQ(base.dropped > 0, depth == 1);
+    EXPECT_EQ(run(depth, false, 1), base);
+    EXPECT_EQ(run(depth, false, 2), base);
+    EXPECT_EQ(run(depth, false, 4), base);
+  }
 }
 
 TEST(NetworkSharding, WatchdogTripPropagatesAcrossNetworkShards) {
