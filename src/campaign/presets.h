@@ -31,7 +31,7 @@ namespace aces::campaign::presets {
 
 // The 3-bus, 23-ECU model-fidelity vehicle campaign. `horizon` is the
 // per-variant simulated time; axes/replicates on the returned spec may be
-// overridden before running (the default grid is 4 x 2 x 3 = 24 points,
+// overridden before running (the default grid is 4 x 2 x 3 x 2 = 48 points,
 // one replicate each).
 [[nodiscard]] ScenarioSpec vehicle_spec(sim::SimTime horizon =
                                             sim::kSecond);

@@ -244,9 +244,15 @@ class GatewayNode {
     // latency + egress queuing + egress frame time).
     sim::SimTime worst_transit = 0;
   };
-  // Returned by value: on a cross-shard direction the internal `queued`
-  // counter lags behind the egress wire by the not-yet-replayed releases;
-  // the returned snapshot reports the true in-gateway count.
+  // Returned by value: a snapshot of the frames this direction has
+  // admitted. `queued` leaves out frames the egress wire has completed,
+  // including cross-shard completions not yet replayed. On a cross-shard
+  // direction admission itself is decided on the egress shard one
+  // forwarding latency after ingress, so right after run_until(h) a frame
+  // that reached the gateway later than h - latency is not yet counted in
+  // `forwarded`, `queued` or `dropped_overflow`. Read at or after ingress
+  // + latency, the snapshot equals the shards(1) run's, which counts at
+  // ingress.
   [[nodiscard]] DirectionStats direction(BusId from, BusId to) const;
 
   // Per translating route (indexed in add order).
@@ -266,7 +272,8 @@ class GatewayNode {
   };
   // Computed from the per-direction counters (each owned by exactly one
   // shard thread — an incrementally-maintained aggregate would be a data
-  // race under sharding).
+  // race under sharding), so it lags on cross-shard directions exactly
+  // like direction().
   [[nodiscard]] Stats stats() const;
 
   // Clears the forwarding counters (per-direction, per-route and

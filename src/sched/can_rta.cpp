@@ -11,9 +11,6 @@ using sim::SimTime;
 
 namespace {
 
-// One full fixed-point analysis pass. `t_error` > 0 adds Tindell's
-// error-recovery term E(t) = (31*tau + max_j C_j) * ceil((t + tau) /
-// t_error) to every busy window; 0 is the exact fault-free analysis.
 // Priority on the wire: the exact arbitration dominance order, NOT the
 // raw identifier — an extended frame's 29-bit id is numerically huge but
 // its 11-bit base competes first, so a mixed-format set ordered by raw id
@@ -43,116 +40,151 @@ namespace {
          td * can::fd_worst_case_data_bits(m.dlc);
 }
 
-void analyze(const std::vector<CanMessage>& messages, SimTime tau,
-             SimTime tau_data, SimTime t_error,
-             std::vector<SimTime>& response, std::vector<bool>& ok_out) {
-  const auto frame_time = [tau, tau_data](const CanMessage& m) {
-    return worst_frame_time(m, tau, tau_data);
-  };
-  // Hoisted out of the fixed-point recurrences: per-message wire
-  // priorities and frame times are loop invariants.
-  std::vector<std::uint32_t> key(messages.size());
-  std::vector<SimTime> c(messages.size());
+// A message's deadline field, resolved: 0 (or less) means implicit = T.
+[[nodiscard]] SimTime resolved_deadline(SimTime deadline, SimTime period) {
+  return deadline > 0 ? deadline : period;
+}
+
+// The per-set loop invariants of the recurrences: the bit time, every
+// message's wire priority and worst-case frame time, and the longest frame
+// (the error term's retransmission). One preparation serves every message
+// of the set and both the fault-free and the faulted pass.
+struct PreparedSet {
+  SimTime tau = 0;
+  std::vector<std::uint32_t> key;
+  std::vector<SimTime> c;
   SimTime max_c = 0;
+};
+
+[[nodiscard]] PreparedSet prepare(const std::vector<CanMessage>& messages,
+                                  std::uint32_t bitrate_bps,
+                                  std::uint32_t data_bitrate_bps) {
+  ACES_CHECK_MSG(bitrate_bps > 0, "CAN RTA needs a nonzero bit rate");
+  PreparedSet p;
+  p.tau = sim::kSecond / bitrate_bps;
+  // FD data-phase bit time; with no data rate the wire (and so the bound)
+  // runs FD data phases at the nominal rate.
+  const SimTime tau_data =
+      data_bitrate_bps > 0 ? sim::kSecond / data_bitrate_bps : p.tau;
+  p.key.resize(messages.size());
+  p.c.resize(messages.size());
   for (std::size_t j = 0; j < messages.size(); ++j) {
-    key[j] = wire_priority(messages[j]);
-    c[j] = frame_time(messages[j]);
-    max_c = std::max(max_c, c[j]);
+    // Every period divides in some message's activation count.
+    ACES_CHECK(messages[j].period > 0);
+    p.key[j] = wire_priority(messages[j]);
+    p.c[j] = worst_frame_time(messages[j], p.tau, tau_data);
+    p.max_c = std::max(p.max_c, p.c[j]);
   }
   // The analysis is only sound under unique priorities (the simulator
   // diagnoses the same condition as duplicate_id_conflicts); equal keys
   // would silently drop the twin's interference below.
-  std::vector<std::uint32_t> sorted = key;
+  std::vector<std::uint32_t> sorted = p.key;
   std::sort(sorted.begin(), sorted.end());
   ACES_CHECK_MSG(std::adjacent_find(sorted.begin(), sorted.end()) ==
                      sorted.end(),
                  "duplicate arbitration priority in the message set");
-  const SimTime error_cost = 31 * tau + max_c;
+  return p;
+}
+
+struct MessageBound {
+  SimTime response = 0;
+  bool ok = false;
+};
+
+// The busy-period and instance recurrences for message i alone. Message i
+// is analyzed with release jitter `jitter_i` and resolved deadline
+// `deadline_i` in place of its own fields; every other message enters only
+// through its inputs (period, jitter, frame time, priority), never through
+// its own analysis result. `t_error` > 0 adds Tindell's error-recovery term
+// E(t) = (31*tau + max_j C_j) * ceil((t + tau) / t_error) to every busy
+// window; 0 is the exact fault-free analysis.
+[[nodiscard]] MessageBound analyze_one(const std::vector<CanMessage>& messages,
+                                       const PreparedSet& p, std::size_t i,
+                                       SimTime jitter_i, SimTime deadline_i,
+                                       SimTime t_error) {
+  const SimTime tau = p.tau;
+  const SimTime error_cost = 31 * tau + p.max_c;
   const auto error_term = [&](SimTime t) -> SimTime {
     if (t_error <= 0) {
       return 0;
     }
     return error_cost * ((t + tau + t_error - 1) / t_error);
   };
+  const std::vector<std::uint32_t>& key = p.key;
+  const std::vector<SimTime>& c = p.c;
+  const SimTime period_i = messages[i].period;
+  const SimTime cm = c[i];
 
-  for (std::size_t i = 0; i < messages.size(); ++i) {
-    const CanMessage& m = messages[i];
-    ACES_CHECK(m.period > 0);
-    const SimTime cm = frame_time(m);
-    const SimTime deadline = m.deadline > 0 ? m.deadline : m.period;
+  // Non-preemptive blocking: the longest lower-priority frame that may
+  // have just started.
+  SimTime blocking = 0;
+  for (std::size_t j = 0; j < messages.size(); ++j) {
+    if (key[j] > key[i]) {
+      blocking = std::max(blocking, c[j]);
+    }
+  }
 
-    // Non-preemptive blocking: the longest lower-priority frame that may
-    // have just started.
-    SimTime blocking = 0;
+  // Busy-period length at priority level i (includes i's own instances).
+  SimTime busy = cm;
+  bool truncated = false;
+  for (int iter = 0; iter < 10'000; ++iter) {
+    SimTime next = blocking + error_term(busy);
     for (std::size_t j = 0; j < messages.size(); ++j) {
       if (key[j] > key[i]) {
-        blocking = std::max(blocking, c[j]);
+        continue;  // lower priority (only in the blocking term)
       }
+      const SimTime jitter = j == i ? jitter_i : messages[j].jitter;
+      const SimTime activations =
+          (busy + jitter + messages[j].period - 1) / messages[j].period;
+      next += activations * c[j];
     }
+    if (next == busy) {
+      break;
+    }
+    busy = next;
+    if (busy > 100 * deadline_i) {
+      // Overload escape: the busy period was cut short, so the instance
+      // count derived from it may miss later (worse) instances — the
+      // verdict below must not claim this message meets its deadline.
+      truncated = true;
+      break;
+    }
+  }
+  // Instances released inside the level-i busy period: jitter widens
+  // the release window (Davis et al., Q_m = ceil((t_m + J_m) / T_m)).
+  const SimTime q_max = (busy + jitter_i + period_i - 1) / period_i;
 
-    // Busy-period length at priority level m (includes m's own instances).
-    SimTime busy = cm;
-    bool truncated = false;
+  SimTime worst = 0;
+  bool ok = !truncated;
+  for (SimTime q = 0; q < std::max<SimTime>(q_max, 1); ++q) {
+    // Queuing delay of instance q.
+    SimTime w = blocking + q * cm;
+    bool converged = false;
     for (int iter = 0; iter < 10'000; ++iter) {
-      SimTime next = blocking + error_term(busy);
+      SimTime next = blocking + q * cm + error_term(w + cm);
       for (std::size_t j = 0; j < messages.size(); ++j) {
-        if (key[j] > key[i]) {
-          continue;  // lower priority (only in the blocking term)
+        if (j == i || key[j] >= key[i]) {
+          continue;  // strictly higher priority interferes
         }
         const SimTime activations =
-            (busy + messages[j].jitter + messages[j].period - 1) /
+            (w + messages[j].jitter + tau + messages[j].period - 1) /
             messages[j].period;
         next += activations * c[j];
       }
-      if (next == busy) {
+      if (next == w) {
+        converged = true;
         break;
       }
-      busy = next;
-      if (busy > 100 * deadline) {
-        // Overload escape: the busy period was cut short, so the instance
-        // count derived from it may miss later (worse) instances — the
-        // verdict below must not claim this message meets its deadline.
-        truncated = true;
+      w = next;
+      if (jitter_i + w - q * period_i + cm > 100 * deadline_i) {
         break;
       }
     }
-    // Instances released inside the level-i busy period: jitter widens
-    // the release window (Davis et al., Q_m = ceil((t_m + J_m) / T_m)).
-    const SimTime q_max = (busy + m.jitter + m.period - 1) / m.period;
-
-    SimTime worst = 0;
-    bool ok = !truncated;
-    for (SimTime q = 0; q < std::max<SimTime>(q_max, 1); ++q) {
-      // Queuing delay of instance q.
-      SimTime w = blocking + q * cm;
-      bool converged = false;
-      for (int iter = 0; iter < 10'000; ++iter) {
-        SimTime next = blocking + q * cm + error_term(w + cm);
-        for (std::size_t j = 0; j < messages.size(); ++j) {
-          if (j == i || key[j] >= key[i]) {
-            continue;  // strictly higher priority interferes
-          }
-          const SimTime activations =
-              (w + messages[j].jitter + tau + messages[j].period - 1) /
-              messages[j].period;
-          next += activations * c[j];
-        }
-        if (next == w) {
-          converged = true;
-          break;
-        }
-        w = next;
-        if (m.jitter + w - q * m.period + cm > 100 * deadline) {
-          break;
-        }
-      }
-      const SimTime r = m.jitter + w - q * m.period + cm;
-      worst = std::max(worst, r);
-      ok = ok && converged;
-    }
-    response[i] = worst;
-    ok_out[i] = ok && worst <= deadline;
+    const SimTime r = jitter_i + w - q * period_i + cm;
+    worst = std::max(worst, r);
+    ok = ok && converged;
   }
+  return {worst, ok && worst <= deadline_i};
 }
 
 }  // namespace
@@ -160,38 +192,37 @@ void analyze(const std::vector<CanMessage>& messages, SimTime tau,
 CanRtaResult can_rta(const std::vector<CanMessage>& messages,
                      std::uint32_t bitrate_bps, const CanErrorModel& errors,
                      std::uint32_t data_bitrate_bps) {
-  const SimTime tau = sim::kSecond / bitrate_bps;  // bit time
-  // FD data-phase bit time; with no data rate the wire (and so the bound)
-  // runs FD data phases at the nominal rate.
-  const SimTime tau_data =
-      data_bitrate_bps > 0 ? sim::kSecond / data_bitrate_bps : tau;
+  const PreparedSet p = prepare(messages, bitrate_bps, data_bitrate_bps);
+  const bool faulted = errors.min_interarrival > 0;
   CanRtaResult result;
   result.response_fault_free.assign(messages.size(), 0);
   result.response_faulted.assign(messages.size(), 0);
   result.message_ok.assign(messages.size(), false);
 
   double util = 0.0;
-  for (const CanMessage& m : messages) {
-    util += static_cast<double>(worst_frame_time(m, tau, tau_data)) /
-            static_cast<double>(m.period);
+  for (std::size_t i = 0; i < messages.size(); ++i) {
+    util += static_cast<double>(p.c[i]) /
+            static_cast<double>(messages[i].period);
   }
   result.bus_utilization = util;
 
-  std::vector<bool> ok_fault_free(messages.size(), false);
-  analyze(messages, tau, tau_data, 0, result.response_fault_free,
-          ok_fault_free);
-  if (errors.min_interarrival > 0) {
-    analyze(messages, tau, tau_data, errors.min_interarrival,
-            result.response_faulted, result.message_ok);
-  } else {
-    result.response_faulted = result.response_fault_free;
-    result.message_ok = ok_fault_free;
+  for (std::size_t i = 0; i < messages.size(); ++i) {
+    const CanMessage& m = messages[i];
+    const SimTime deadline = resolved_deadline(m.deadline, m.period);
+    const MessageBound ff =
+        analyze_one(messages, p, i, m.jitter, deadline, 0);
+    const MessageBound op =
+        faulted ? analyze_one(messages, p, i, m.jitter, deadline,
+                              errors.min_interarrival)
+                : ff;
+    result.response_fault_free[i] = ff.response;
+    result.response_faulted[i] = op.response;
+    result.message_ok[i] = op.ok;
   }
 
   // The operative bound (and verdict) includes the fault hypothesis when
   // one is given.
-  result.response = errors.min_interarrival > 0 ? result.response_faulted
-                                                : result.response_fault_free;
+  result.response = result.response_faulted;
   result.schedulable = true;
   for (const bool ok : result.message_ok) {
     result.schedulable = result.schedulable && ok;
@@ -202,24 +233,25 @@ CanRtaResult can_rta(const std::vector<CanMessage>& messages,
 namespace {
 
 // One hop of the holistic composition: inherit `inherited` ns of upstream
-// jitter (accumulated bound + gateway latency), run the per-bus analysis,
-// and return the new cumulative bound — can_rta's response already includes
-// the jitter term, so it *is* end-to-end from the source release.
-[[nodiscard]] SimTime hop_bound(const PathHop& hop, SimTime inherited,
-                                const CanErrorModel& errors, bool& ok) {
-  std::vector<CanMessage> msgs = hop.messages;
-  CanMessage& m = msgs[hop.message];
-  const SimTime hop_deadline = m.deadline > 0 ? m.deadline : m.period;
-  m.jitter += inherited;
+// jitter (accumulated bound + gateway latency), analyze the routed message
+// alone in the pass whose result is read, and return the new cumulative
+// bound — the response already includes the jitter term, so it *is*
+// end-to-end from the source release.
+[[nodiscard]] SimTime hop_bound(const PathHop& hop, const PreparedSet& p,
+                                SimTime inherited, SimTime t_error,
+                                bool& ok) {
+  const CanMessage& m = hop.messages[hop.message];
+  const SimTime hop_deadline = resolved_deadline(m.deadline, m.period);
+  const SimTime jitter = m.jitter + inherited;
   // Judge this hop on queue-to-delivery (w + C <= hop deadline): the
   // inherited jitter is upstream latency, not a property of this bus, so
   // the deadline check — and the overload escape scaled from it — must not
   // be tightened by it.
-  m.deadline = m.jitter + hop_deadline;
-  const CanRtaResult r =
-      can_rta(msgs, hop.bitrate_bps, errors, hop.data_bitrate_bps);
-  ok = ok && r.message_ok[hop.message];
-  return r.response[hop.message];
+  const SimTime deadline = resolved_deadline(jitter + hop_deadline, m.period);
+  const MessageBound b =
+      analyze_one(hop.messages, p, hop.message, jitter, deadline, t_error);
+  ok = ok && b.ok;
+  return b.response;
 }
 
 }  // namespace
@@ -247,10 +279,11 @@ PathRtaResult path_rta(const std::vector<PathHop>& hops, SimTime deadline) {
     } else {
       ACES_CHECK_MSG(hop.message < hop.messages.size(),
                      "path_rta hop message index out of range");
-      cum_ff = hop_bound(hop, cum_ff + hop.gateway_latency, CanErrorModel{},
-                         ok_ff);
-      cum_op = hop_bound(hop, cum_op + hop.gateway_latency, hop.errors,
-                         ok_op);
+      const PreparedSet p =
+          prepare(hop.messages, hop.bitrate_bps, hop.data_bitrate_bps);
+      cum_ff = hop_bound(hop, p, cum_ff + hop.gateway_latency, 0, ok_ff);
+      cum_op = hop_bound(hop, p, cum_op + hop.gateway_latency,
+                         hop.errors.min_interarrival, ok_op);
     }
     out.hop_response.push_back(cum_op);
   }
@@ -267,7 +300,7 @@ PathRtaResult path_rta(const std::vector<PathHop>& hops, SimTime deadline) {
       e2e_deadline = lh.hop_deadline;
     } else {
       const CanMessage& last = lh.messages[lh.message];
-      e2e_deadline = last.deadline > 0 ? last.deadline : last.period;
+      e2e_deadline = resolved_deadline(last.deadline, last.period);
     }
   }
   out.schedulable = ok_op && out.response <= e2e_deadline;
@@ -286,6 +319,7 @@ PathHop make_hop(std::vector<CanMessage> messages, std::uint32_t id,
   hop.gateway_latency = gateway_latency;
   hop.errors = errors;
   hop.bus = bus;
+  ACES_CHECK_MSG(bitrate_bps > 0, "make_hop needs a nonzero bit rate");
   std::size_t found = 0;
   for (std::size_t k = 0; k < hop.messages.size(); ++k) {
     if (hop.messages[k].id == id) {

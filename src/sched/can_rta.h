@@ -23,6 +23,11 @@
 // times and the aborted attempt never exceeds one frame — so the faulted
 // bound dominates the simulation whenever injected errors respect
 // T_error; tests/can_fault_test.cpp asserts exactly that, differentially.
+//
+// Message i's recurrences read only the other messages' inputs (period,
+// jitter, frame time, priority), never their results, so one message can
+// be analyzed alone. can_rta analyzes every message of the set; a path_rta
+// hop analyzes only its routed message, and only in the pass it reads.
 #ifndef ACES_SCHED_CAN_RTA_H
 #define ACES_SCHED_CAN_RTA_H
 
@@ -83,10 +88,12 @@ struct CanRtaResult {
 // composition (Tindell & Clark): the response bound of hop k, plus the
 // gateway forwarding latency, becomes the *release jitter* of the message
 // on hop k+1, so the downstream per-bus analysis charges every queuing
-// effect of the upstream variability. Each hop's bound is the full can_rta
-// of that bus (blocking + interference + optional Tindell error term), so
-// the gateway queuing delay — waiting behind the egress bus's own traffic —
-// is exactly the w-term of the downstream analysis.
+// effect of the upstream variability. Each hop's bound is the can_rta
+// recurrence of the routed message against that bus's whole set (blocking
+// + interference + optional Tindell error term) — bit-identical to reading
+// it out of a full can_rta, without analyzing the messages nobody asked
+// about — so the gateway queuing delay (waiting behind the egress bus's
+// own traffic) is exactly the w-term of the downstream analysis.
 
 struct PathHop;
 

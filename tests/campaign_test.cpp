@@ -223,6 +223,30 @@ TEST(Campaign, FaultFreeVariantsStayWithinPathRtaBounds) {
   }
 }
 
+TEST(Campaign, PresetPathBoundsArePinned) {
+  // The report hash covers the path_rta bounds only through violation
+  // strings; this pins every variant's operative bound and verdict over
+  // the preset's default grid (four T_error values, two gateway depths,
+  // three load scales, classic and FD backbone), so a change to the
+  // analysis that moves one bound by one nanosecond fails in tier-1.
+  const campaign::ScenarioSpec spec =
+      campaign::presets::vehicle_spec(20 * kMillisecond);
+  campaign::CampaignRunner::Config cfg;
+  cfg.workers = 1;
+  const campaign::CampaignResult result =
+      campaign::CampaignRunner(cfg).run(spec);
+  ASSERT_EQ(result.variants.size(), 48u);
+  std::string bounds;
+  for (const auto& v : result.variants) {
+    ASSERT_EQ(v.paths.size(), 4u);
+    for (const auto& p : v.paths) {
+      EXPECT_GT(p.bound, 0);
+      bounds += std::to_string(p.bound) + (p.bound_schedulable ? "+" : "-");
+    }
+  }
+  EXPECT_EQ(report_hash(bounds), 0x9dd1'8491'0e6f'7c4dull) << bounds;
+}
+
 TEST(Campaign, SeededFaultCampaignsInjectAndAreCounted) {
   campaign::ScenarioSpec spec = small_vehicle(50 * kMillisecond, 2);
   const campaign::CampaignResult result =

@@ -253,6 +253,67 @@ TEST(Gateway, CompletionReleasesTheFrameTheWireCarried) {
   }
 }
 
+TEST(Gateway, CrossShardSnapshotConvergesOneLatencyAfterIngress) {
+  // On a partitioned network a cross-shard admission is decided on the
+  // egress shard, `forwarding_latency` after ingress. A snapshot read
+  // earlier than that does not count the frame yet; from ingress +
+  // latency on it equals the shards(1) run, which counts at ingress.
+  constexpr SimTime kLatency = 200 * kMicrosecond;
+  struct Snapshot {
+    GatewayNode::DirectionStats dir;
+    GatewayNode::Stats total;
+  };
+  // One 8-byte frame crosses a -> b; the snapshot is read `after_ingress`
+  // past the instant it reaches the gateway.
+  const auto probe = [](bool single_shard, SimTime after_ingress) {
+    NetworkBuilder nb;
+    const BusId a = nb.bus("a", 500'000);
+    const BusId b = nb.bus("b", 500'000);
+    GatewayConfig gc;
+    gc.forwarding_latency = kLatency;
+    const GatewayId gw = nb.gateway("gw", gc);
+    nb.route(gw, {a, b, 0x100, 0x7FF, {}});
+    if (single_shard) {
+      nb.shards(1);
+    }
+    Network net = nb.build();
+    EXPECT_EQ(net.shard_count(), single_shard ? 1u : 2u);
+    can::CanFrame f;
+    f.id = 0x100;
+    f.dlc = 8;
+    // The egress frame is as long as the ingress one: it is still on the
+    // wire until ingress + latency + ingress.
+    EXPECT_LT(after_ingress, kLatency + net.bus(a).frame_time(f));
+    net.bus(a).send(net.bus(a).attach_node("src"), f);
+    net.run_until(net.bus(a).frame_time(f) + after_ingress);
+    return Snapshot{net.gateway(gw).direction(a, b), net.gateway(gw).stats()};
+  };
+
+  // Before ingress + latency: the shards(1) run has admitted the frame,
+  // the partitioned run has not yet.
+  const Snapshot one_early = probe(true, kLatency / 2);
+  const Snapshot part_early = probe(false, kLatency / 2);
+  EXPECT_EQ(one_early.dir.forwarded, 1u);
+  EXPECT_EQ(one_early.dir.queued, 1u);
+  EXPECT_EQ(one_early.total.frames_forwarded, 1u);
+  EXPECT_EQ(part_early.dir.forwarded, 0u);
+  EXPECT_EQ(part_early.dir.queued, 0u);
+  EXPECT_EQ(part_early.total.frames_forwarded, 0u);
+
+  // After it, with the frame still on the egress wire: both runs agree.
+  const Snapshot one = probe(true, kLatency + 10 * kMicrosecond);
+  const Snapshot part = probe(false, kLatency + 10 * kMicrosecond);
+  EXPECT_EQ(one.dir.forwarded, 1u);
+  EXPECT_EQ(one.dir.queued, 1u);
+  EXPECT_EQ(one.dir.delivered, 0u);
+  EXPECT_EQ(part.dir.forwarded, one.dir.forwarded);
+  EXPECT_EQ(part.dir.queued, one.dir.queued);
+  EXPECT_EQ(part.dir.delivered, one.dir.delivered);
+  EXPECT_EQ(part.dir.peak_queued, one.dir.peak_queued);
+  EXPECT_EQ(part.total.frames_forwarded, one.total.frames_forwarded);
+  EXPECT_EQ(part.total.frames_delivered, one.total.frames_delivered);
+}
+
 TEST(EcuNode, BothFidelitiesAttachThroughOneCall) {
   NetworkBuilder nb;
   const BusId bus = nb.bus("body", 250'000);

@@ -3,7 +3,13 @@
 // simulated bus, across randomized workloads.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 #include "can/bus.h"
+#include "can/frame.h"
 #include "rtos/kernel.h"
 #include "sched/can_rta.h"
 #include "sched/flexray.h"
@@ -362,6 +368,144 @@ TEST(CanRta, ExtendedFramesUseTheLongerWorstCase) {
   for (std::size_t k = 0; k < std_set.size(); ++k) {
     EXPECT_GT(b.response[k], a.response[k]);
   }
+}
+
+TEST(CanRta, ZeroBitRateIsRejected) {
+  // Regression: a zero bit rate divided kSecond by zero (SIGFPE), taking
+  // down a whole campaign batch instead of failing the one variant.
+  const auto msgs = sae_like_set();
+  EXPECT_THROW((void)can_rta(msgs, 0), std::logic_error);
+  EXPECT_THROW((void)can_rta(msgs, 0, CanErrorModel{10 * kMillisecond}),
+               std::logic_error);
+  EXPECT_THROW((void)make_hop(msgs, 0x0A0, 0), std::logic_error);
+  PathHop hop = make_hop(msgs, 0x0A0, 250'000);
+  hop.bitrate_bps = 0;
+  EXPECT_THROW((void)path_rta({hop}), std::logic_error);
+  PathHop src = make_hop(msgs, 0x0A0, 250'000);
+  EXPECT_THROW((void)path_rta({src, hop}), std::logic_error);
+}
+
+// ----- path RTA against the whole-set reference ------------------------------
+
+// Reference per-hop bound, computed the whole-set way: copy the set, add
+// the inherited jitter to the analyzed message, judge it on
+// queue-to-delivery, run can_rta over every message and read back the one
+// result.
+SimTime reference_hop_bound(const PathHop& hop, SimTime inherited,
+                            const CanErrorModel& errors, bool& ok) {
+  std::vector<CanMessage> msgs = hop.messages;
+  CanMessage& m = msgs[hop.message];
+  const SimTime hop_deadline = m.deadline > 0 ? m.deadline : m.period;
+  m.jitter += inherited;
+  m.deadline = m.jitter + hop_deadline;
+  const CanRtaResult r =
+      can_rta(msgs, hop.bitrate_bps, errors, hop.data_bitrate_bps);
+  ok = ok && r.message_ok[hop.message];
+  return r.response[hop.message];
+}
+
+// The holistic composition over reference_hop_bound (CAN hops only).
+PathRtaResult reference_path_rta(const std::vector<PathHop>& hops) {
+  PathRtaResult out;
+  SimTime cum_ff = 0;
+  SimTime cum_op = 0;
+  bool ok_ff = true;
+  bool ok_op = true;
+  for (const PathHop& hop : hops) {
+    cum_ff = reference_hop_bound(hop, cum_ff + hop.gateway_latency,
+                                 CanErrorModel{}, ok_ff);
+    cum_op = reference_hop_bound(hop, cum_op + hop.gateway_latency,
+                                 hop.errors, ok_op);
+    out.hop_response.push_back(cum_op);
+  }
+  out.response_fault_free = cum_ff;
+  out.response_faulted = cum_op;
+  out.response = cum_op;
+  const CanMessage& last = hops.back().messages[hops.back().message];
+  const SimTime deadline = last.deadline > 0 ? last.deadline : last.period;
+  out.schedulable = ok_op && cum_op <= deadline;
+  out.schedulable_fault_free = ok_ff && cum_ff <= deadline;
+  return out;
+}
+
+// A random hop: 2-9 messages with unique wire priorities, mixing standard
+// and extended identifiers and classic, FD and FD-without-BRS frames, on a
+// bus with or without an FD data rate. An `overloaded` set's low-priority
+// messages take the busy-period truncation and 100x-deadline escapes;
+// tight explicit deadlines push the escapes further up the priority order.
+PathHop random_hop(support::Rng256& rng, bool overloaded) {
+  static constexpr std::uint32_t kRates[] = {125'000, 250'000, 500'000,
+                                             1'000'000};
+  PathHop hop;
+  hop.bitrate_bps = kRates[rng.next_below(4)];
+  hop.data_bitrate_bps =
+      rng.chance(0.5) ? 0 : static_cast<std::uint32_t>(rng.next_in(2, 8)) *
+                                1'000'000;
+  const auto n = static_cast<std::size_t>(rng.next_in(2, 9));
+  std::vector<std::uint32_t> keys;
+  while (hop.messages.size() < n) {
+    CanMessage m;
+    m.extended = rng.chance(0.3);
+    m.id = m.extended ? static_cast<std::uint32_t>(rng.next_below(1u << 29))
+                      : static_cast<std::uint32_t>(rng.next_below(1u << 11));
+    can::CanFrame f;
+    f.id = m.id;
+    f.extended = m.extended;
+    const std::uint32_t key = can::arbitration_key(f);
+    if (std::find(keys.begin(), keys.end(), key) != keys.end()) {
+      continue;
+    }
+    keys.push_back(key);
+    m.name = "m" + std::to_string(hop.messages.size());
+    m.fd = rng.chance(0.4);
+    m.brs = rng.chance(0.7);
+    m.dlc = static_cast<unsigned>(rng.next_in(0, m.fd ? 15 : 8));
+    m.period = overloaded ? rng.next_in(200, 1'500) * kMicrosecond
+                          : rng.next_in(2, 50) * kMillisecond;
+    m.jitter = rng.chance(0.5) ? 0 : rng.next_in(0, 2'000) * kMicrosecond;
+    if (rng.chance(0.15)) {
+      m.deadline = rng.next_in(100, 5'000) * kMicrosecond;
+    }
+    hop.messages.push_back(m);
+  }
+  hop.message = rng.next_below(n);
+  hop.gateway_latency = rng.next_in(0, 500) * kMicrosecond;
+  if (rng.chance(0.5)) {
+    hop.errors.min_interarrival = rng.next_in(300, 20'000) * kMicrosecond;
+  }
+  return hop;
+}
+
+TEST(PathRta, MatchesWholeSetReferenceOnRandomPaths) {
+  support::Rng256 rng(0x5EED'0018);
+  int unschedulable = 0;
+  int faulted_apart = 0;
+  for (int trial = 0; trial < 600; ++trial) {
+    std::vector<PathHop> hops;
+    const auto len = rng.next_in(1, 3);
+    // Overload only ends a path: the escapes return bounds near 100x the
+    // deadline, and inheriting one as jitter multiplies the instances the
+    // next hop must examine (seconds of analysis per path).
+    for (std::int64_t k = 0; k < len; ++k) {
+      hops.push_back(random_hop(rng, k + 1 == len && rng.chance(0.3)));
+    }
+    hops.front().gateway_latency = 0;
+    const PathRtaResult want = reference_path_rta(hops);
+    const PathRtaResult got = path_rta(hops);
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    EXPECT_EQ(got.response, want.response);
+    EXPECT_EQ(got.response_fault_free, want.response_fault_free);
+    EXPECT_EQ(got.response_faulted, want.response_faulted);
+    EXPECT_EQ(got.hop_response, want.hop_response);
+    EXPECT_EQ(got.schedulable, want.schedulable);
+    EXPECT_EQ(got.schedulable_fault_free, want.schedulable_fault_free);
+    unschedulable += want.schedulable_fault_free ? 0 : 1;
+    faulted_apart += want.response_faulted != want.response_fault_free;
+  }
+  // The draw reaches both verdicts and both passes.
+  EXPECT_GT(unschedulable, 60);
+  EXPECT_LT(unschedulable, 540);
+  EXPECT_GT(faulted_apart, 60);
 }
 
 // ----- FlexRay ---------------------------------------------------------------------
